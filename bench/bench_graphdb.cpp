@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the embedded graph store, the
-// traversal engine, the Cypher layer and the controllability analysis —
-// the infrastructure costs behind the Table VIII build times and the
-// Table X search times.
+// traversal engine, the Cypher layer, the content digest and the
+// controllability analysis — the infrastructure costs behind the Table VIII
+// build times, the warm starts and the Table X search times.
 #include <benchmark/benchmark.h>
 
 #include "corpus/components.hpp"
@@ -11,6 +11,7 @@
 #include "finder/finder.hpp"
 #include "graph/frozen.hpp"
 #include "graph/serialize.hpp"
+#include "util/digest.hpp"
 #include "util/rng.hpp"
 
 using namespace tabby;
@@ -290,6 +291,30 @@ void BM_FrozenAttach(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrozenAttach);
+
+// Content digest throughput: the checksum over every frame and store a warm
+// start verifies, and the archive digest every resident request computes.
+std::vector<std::byte> digest_input(std::size_t size) {
+  std::vector<std::byte> bytes(size);
+  util::Rng rng(13);
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.next_below(256));
+  return bytes;
+}
+
+void BM_ContentDigest(benchmark::State& state) {
+  std::vector<std::byte> bytes = digest_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(util::digest_bytes(bytes));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ContentDigest)->Arg(1 << 20)->Arg(8 << 20);
+
+// The byte-at-a-time FNV-1a the checksums used before, for the ratio.
+void BM_ContentDigestFnv1a(benchmark::State& state) {
+  std::vector<std::byte> bytes = digest_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(util::fnv1a(bytes));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ContentDigestFnv1a)->Arg(1 << 20);
 
 // --- Adversarial query workloads: planner vs naive (docs/CYPHER.md) --------
 //

@@ -20,13 +20,24 @@
 #include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/engine.hpp"
-#include "util/digest.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 using namespace tabby;
+
+namespace {
+
+bool g_failed = false;
+
+/// Prints one acceptance line and records a failure for the exit code.
+void acceptance(const char* claim, bool pass) {
+  std::printf("acceptance (%s): %s\n", claim, pass ? "PASS" : "FAIL");
+  g_failed |= !pass;
+}
+
+}  // namespace
 
 int main() {
   std::printf("Table VIII — CPG generation efficiency (RQ1)\n");
@@ -139,7 +150,7 @@ int main() {
 
   cpg::CpgOptions cache_options;
   std::uint64_t options_fp = cpg::options_fingerprint(cache_options);
-  std::uint64_t jdk_digest = util::fnv1a(jar::write_archive(corpus::jdk_base_archive()));
+  std::uint64_t jdk_digest = pipeline::jdk_digest();
 
   auto run_cold = [&](cache::AnalysisCache& cache) {
     std::vector<std::uint64_t> digests{jdk_digest};
@@ -234,9 +245,8 @@ int main() {
                frozen_stats.class_nodes == warm_stats.class_nodes && frozen_nodes > 0)
                   ? "yes"
                   : "NO — cache bug");
-  std::printf("acceptance (>=5x warm speedup): %s\n", cache_speedup >= 5.0 ? "PASS" : "FAIL");
-  std::printf("acceptance (frozen warm start beats the store decode): %s\n",
-              frozen_median <= warm_median ? "PASS" : "FAIL");
+  acceptance(">=5x warm speedup", cache_speedup >= 5.0);
+  acceptance("frozen warm start beats the store decode", frozen_median <= warm_median);
 
   // Resident engine vs one-shot: the session API (pipeline::Engine, the
   // machinery behind `tabby serve`). The one-shot path pays load + link +
@@ -298,8 +308,7 @@ int main() {
     std::printf("%s\n", engine_table.render().c_str());
     std::printf("chains identical across paths: %s\n",
                 one_shot_chains == resident_chains ? "yes" : "NO — engine bug");
-    std::printf("acceptance (resident hit >= 2x faster than one-shot): %s\n",
-                resident_speedup >= 2.0 ? "PASS" : "FAIL");
+    acceptance("resident hit >= 2x faster than one-shot", resident_speedup >= 2.0);
   }
   fs::remove_all(work);
 
@@ -355,5 +364,6 @@ int main() {
               "enabled delta %.1f%%)\n",
               overhead_pct <= 2.0 ? "PASS" : "NOTE: enabled tracing costs more — expected",
               overhead_pct);
-  return 0;
+  // The tracer line above is informational; the acceptance lines gate.
+  return g_failed ? 1 : 0;
 }

@@ -78,7 +78,7 @@ util::Status write_file_atomic(const fs::path& path, const std::vector<std::byte
   return status;
 }
 
-/// Shared entry framing: magic + version + body + FNV-1a64 checksum. The
+/// Shared entry framing: magic + version + body + digest_bytes checksum. The
 /// same fail-closed discipline as the graph store, except a bad entry is a
 /// cache miss, not an error.
 std::vector<std::byte> frame_entry(std::uint32_t magic, std::uint16_t version,
@@ -87,7 +87,7 @@ std::vector<std::byte> frame_entry(std::uint32_t magic, std::uint16_t version,
   out.u32(magic);
   out.u16(version);
   for (std::byte b : body.data()) out.u8(static_cast<std::uint8_t>(b));
-  out.u64(util::fnv1a(out.data()));
+  out.u64(util::digest_bytes(out.data()));
   return std::vector<std::byte>(out.data());
 }
 
@@ -104,7 +104,7 @@ std::optional<std::span<const std::byte>> open_entry(std::span<const std::byte> 
   ByteReader tail(data.subspan(data.size() - 8));
   auto stored = tail.u64();
   if (!stored.ok()) return std::nullopt;
-  if (stored.value() != util::fnv1a(data.first(data.size() - 8))) return std::nullopt;
+  if (stored.value() != util::digest_bytes(data.first(data.size() - 8))) return std::nullopt;
   return data.subspan(4 + 2, data.size() - kFrameOverhead);
 }
 
@@ -199,13 +199,13 @@ Result<AnalysisCache> AnalysisCache::open(const fs::path& dir) {
 Result<std::uint64_t> AnalysisCache::digest_file(const fs::path& file) {
   auto bytes = read_file_bytes(file);
   if (!bytes.ok()) return bytes.error();
-  return util::fnv1a(bytes.value());
+  return util::digest_bytes(bytes.value());
 }
 
 std::uint64_t AnalysisCache::snapshot_key(std::uint64_t options_fp,
                                           const std::vector<std::uint64_t>& archive_digests) {
   util::Fnv1a h;
-  h.update("tabby-snapshot-key-v1");
+  h.update("tabby-snapshot-key-v2");
   h.update_u64(graph::kGraphStoreVersion);
   h.update_u64(options_fp);
   h.update_u64(archive_digests.size());
@@ -235,7 +235,7 @@ Result<LoadedArchive> AnalysisCache::load_archive(const fs::path& file) {
   auto raw = read_file_bytes(file);
   if (!raw.ok()) return raw.error();
   LoadedArchive loaded;
-  loaded.digest = util::fnv1a(raw.value());
+  loaded.digest = util::digest_bytes(raw.value());
 
   // Fragment hit: decode the canonical re-encoding instead of the original.
   fs::path frag = fragment_path(loaded.digest);
@@ -324,7 +324,7 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
   auto len = in.count("snapshot graph blob");
   if (!len.ok()) return std::nullopt;
   std::uint64_t header_sum =
-      util::fnv1a(std::span<const std::byte>(bytes.value()).first(in.position()));
+      util::digest_bytes(std::span<const std::byte>(bytes.value()).first(in.position()));
   auto stored_sum = in.u64();
   if (!stored_sum.ok() || stored_sum.value() != header_sum) return std::nullopt;
   if (len.value() != in.remaining()) return std::nullopt;
@@ -344,7 +344,7 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
   } else {
     // A frozen warm start already carries the graph, so skip the expensive
     // node/edge decode — but keep the integrity contract: verify the store
-    // blob's own frame (magic, version, trailing FNV-1a64) so a bit-flipped
+    // blob's own frame (magic, version, trailing checksum) so a bit-flipped
     // snapshot is a miss on this path exactly as it is on the decode path.
     std::span<const std::byte> blob(cached.graph_bytes);
     constexpr std::size_t kStoreOverhead = 4 + 2 + 8;
@@ -358,7 +358,7 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
     }
     ByteReader blob_tail(blob.subspan(blob.size() - 8));
     auto blob_sum = blob_tail.u64();
-    if (!blob_sum.ok() || blob_sum.value() != util::fnv1a(blob.first(blob.size() - 8))) {
+    if (!blob_sum.ok() || blob_sum.value() != util::digest_bytes(blob.first(blob.size() - 8))) {
       return std::nullopt;
     }
     cached.db_decoded = false;
@@ -380,7 +380,7 @@ util::Status AnalysisCache::store_snapshot(std::uint64_t key, const cpg::CpgStat
   header.u64(key);
   write_stats(header, stats);
   header.uvarint(graph_bytes.size());
-  header.u64(util::fnv1a(header.data()));
+  header.u64(util::digest_bytes(header.data()));
   std::vector<std::byte> file = header.take();
   file.insert(file.end(), graph_bytes.begin(), graph_bytes.end());
   util::ScopedCharge buffer_charge(memory_, file.size());
@@ -504,7 +504,7 @@ std::string validate_snapshot(std::span<const std::byte> data, std::uint64_t exp
   if (!read_stats(in)) return "bad stats block";
   auto len = in.count("snapshot graph blob");
   if (!len.ok()) return "bad graph blob length";
-  std::uint64_t header_sum = util::fnv1a(data.first(in.position()));
+  std::uint64_t header_sum = util::digest_bytes(data.first(in.position()));
   auto stored_sum = in.u64();
   if (!stored_sum.ok() || stored_sum.value() != header_sum) return "header checksum mismatch";
   if (len.value() != in.remaining()) return "graph blob length mismatch";
@@ -723,7 +723,7 @@ std::chrono::microseconds publish_backoff(std::string_view path, int attempt) {
   // from the path and the attempt — never the clock — so a chaos run
   // replays with byte-identical sleeps while different entries (and
   // successive attempts) still spread out.
-  util::Rng jitter(0x7ab1cac4eULL ^ util::fnv1a(path) ^
+  util::Rng jitter(0x7ab1cac4eULL ^ util::digest_bytes(path) ^
                    (static_cast<std::uint64_t>(static_cast<unsigned>(attempt)) << 48));
   return std::chrono::microseconds(base + jitter.next_below(500));
 }

@@ -7,12 +7,12 @@
 //   fragments/<digest>.tfrag   per-archive fragment: the decoded archive
 //                              re-encoded in canonical TJAR form plus the
 //                              per-class stable fingerprints. Keyed by the
-//                              FNV-1a64 of the raw .tjar file bytes, so a
+//                              util::digest_bytes of the raw .tjar file, so a
 //                              changed archive simply misses and only it is
 //                              re-read — unchanged neighbours warm-start
 //                              before the (cheap) cross-archive link step.
 //   snapshots/<key>.tsnp       whole-classpath CPG snapshot: CpgStats plus
-//                              the graph::serialize (version-2, checksummed)
+//                              the graph::serialize (version-3, checksummed)
 //                              bytes, embedded verbatim so a warm
 //                              `analyze --store` reproduces the cold store
 //                              byte for byte. Keyed by snapshot_key(): the
@@ -68,11 +68,15 @@
 namespace tabby::cache {
 
 inline constexpr std::uint32_t kFragmentMagic = 0x54465247;  // "TFRG"
-inline constexpr std::uint16_t kFragmentVersion = 1;
+// Entry versions. Version 2 of each entry (and of the snapshot-key salt)
+// came with the switch from FNV-1a to util::digest_bytes for every content
+// digest and checksum: a cache directory written before it is a clean
+// version (or key) miss that republishes, never a checksum error.
+inline constexpr std::uint16_t kFragmentVersion = 2;
 inline constexpr std::uint32_t kSnapshotMagic = 0x54534E50;  // "TSNP"
-inline constexpr std::uint16_t kSnapshotVersion = 1;
+inline constexpr std::uint16_t kSnapshotVersion = 2;
 inline constexpr std::uint32_t kVerdictMagic = 0x54564454;  // "TVDT"
-inline constexpr std::uint16_t kVerdictVersion = 1;
+inline constexpr std::uint16_t kVerdictVersion = 2;
 
 /// Hit/miss telemetry for one pipeline run, rendered as the CLI's
 /// "cache:" stats line.
@@ -89,7 +93,7 @@ struct CacheStats {
 /// One classpath entry after cache-aware loading.
 struct LoadedArchive {
   jar::Archive archive;
-  std::uint64_t digest = 0;  // FNV-1a64 of the raw .tjar file bytes
+  std::uint64_t digest = 0;  // util::digest_bytes of the raw .tjar file
   bool from_fragment = false;
 };
 

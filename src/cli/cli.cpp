@@ -520,8 +520,9 @@ int cmd_find(const Args& args, std::ostream& out, std::ostream& err) {
   pipeline::FindResult found = analysis.find(ctx);
   const finder::FinderReport& report = found.report;
 
-  out << report.chains.size() << " gadget chain(s), "
-      << util::format_double(report.search_seconds, 3) << " s search\n\n";
+  // Result bytes carry no wall clock: the search time is in the finder.*
+  // spans (--metrics, --trace).
+  out << report.chains.size() << " gadget chain(s)\n\n";
   for (std::size_t i = 0; i < report.chains.size(); ++i) {
     out << report.chains[i].to_string();
     if (found.verified) {

@@ -273,7 +273,9 @@ class Coordinator {
 
   /// Worker in `slot` is gone (crashed, killed, or its pipe broke). Reaps
   /// the corpse, fails/requeues its in-flight shard, and respawns a
-  /// replacement while there is still work for it.
+  /// replacement whenever any shard is still unresolved. Replacing on every
+  /// death keeps the respawn count a function of the crashes alone, never
+  /// of how fast the surviving workers drained the queue.
   void handle_death(std::size_t slot, const std::string& why) {
     Worker& w = workers_[slot];
     if (!w.alive) return;
@@ -287,9 +289,7 @@ class Coordinator {
       w.busy = false;
       shard_failed(w.shard, w.shard_attempts + 1, static_cast<int>(slot), why);
     }
-    if (resolved_ < report_.shards.size() && alive_count() < std::min(pool_size_, unresolved())) {
-      if (spawn(slot)) ++report_.stats.respawns;
-    }
+    if (resolved_ < report_.shards.size() && spawn(slot)) ++report_.stats.respawns;
   }
 
   void fail_everything_outstanding(const std::string& why) {

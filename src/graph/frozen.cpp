@@ -486,7 +486,7 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   }
 
   w.patch_u64(8, w.size() + kFrozenChecksumSize);
-  w.u64(util::fnv1a(std::span<const std::byte>(w.buf)));
+  w.u64(util::digest_bytes(std::span<const std::byte>(w.buf)));
 
   std::vector<std::byte> bytes = std::move(w.buf);
   std::span<const std::byte> frame(bytes);
@@ -511,6 +511,12 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
     return frozen_err("not a tabby frozen graph (bad magic)");
   }
   std::uint16_t version = rd_u16(frame, 4);
+  if (version < kFrozenVersion) {
+    return frozen_err("frozen snapshot version " + std::to_string(version) +
+                          " predates the current format (this build reads version " +
+                          std::to_string(kFrozenVersion) + "); re-freeze the graph",
+                      4);
+  }
   if (version != kFrozenVersion) {
     return frozen_err("unsupported frozen snapshot version " + std::to_string(version) +
                           " (this build reads version " + std::to_string(kFrozenVersion) + ")",
@@ -523,7 +529,7 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
                       8);
   }
   std::uint64_t stored_sum = rd_u64(frame, frame.size() - kFrozenChecksumSize);
-  std::uint64_t actual_sum = util::fnv1a(frame.first(frame.size() - kFrozenChecksumSize));
+  std::uint64_t actual_sum = util::digest_bytes(frame.first(frame.size() - kFrozenChecksumSize));
   if (stored_sum != actual_sum) {
     return frozen_err("checksum mismatch (corrupt or tampered snapshot): expected " +
                           util::digest_hex(stored_sum) + ", computed " +

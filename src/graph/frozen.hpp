@@ -18,7 +18,7 @@
 //
 // The whole graph serializes as one versioned, checksummed, mmap-able frame
 // (same magic/version/length/trailing-checksum discipline as the graph
-// store v2): freeze() *is* the serializer — it builds the frame bytes and
+// store): freeze() *is* the serializer — it builds the frame bytes and
 // attaches views into them, so save() is a plain write and a warm start
 // maps the file and re-attaches zero-copy. Validation is fail-closed: a
 // truncated, bit-flipped or version-skewed frame is a structured error,
@@ -45,7 +45,7 @@ namespace tabby::graph {
 // Frame layout constants (little-endian; see docs/GRAPH.md for the full
 // byte-level tables):
 //   magic        u32  = 0x5A524654 ("TFRZ" on disk)
-//   version      u16  = 1
+//   version      u16  = 2
 //   reserved     u16  = 0
 //   frame length u64  total bytes including the trailing checksum
 //   content key  u64  binds a cache-published frame to its snapshot key
@@ -55,13 +55,15 @@ namespace tabby::graph {
 //   section cnt  u64  = 16 (stats-less) or 17 (with the cardinality stats)
 //   directory    cnt x { id u32, reserved u32, offset u64, length u64 }
 //   sections     each 8-byte aligned (ids 1..cnt, see kSec* below)
-//   checksum     u64  FNV-1a64 over every byte before it
+//   checksum     u64  util::digest_bytes over every byte before it
 // The optional section 17 carries the graph's CardinalityStats for the
-// cypher planner (same payload codec as the store v2 stats block). The
-// version stays 1: frames written before the planner existed declare 16
-// sections and still attach — the planner falls back to defaults.
+// cypher planner (same payload codec as the store's stats block). A frame
+// frozen without stats declares 16 sections and still attaches — the
+// planner falls back to defaults. Version 1 had the same layout with an
+// FNV-1a64 checksum; it is rejected by version, before any checksum is
+// computed.
 inline constexpr std::uint32_t kFrozenMagic = 0x5A524654;
-inline constexpr std::uint16_t kFrozenVersion = 1;
+inline constexpr std::uint16_t kFrozenVersion = 2;
 inline constexpr std::size_t kFrozenHeaderSize = 48;
 inline constexpr std::size_t kFrozenSectionCount = 16;
 inline constexpr std::size_t kFrozenSectionCountWithStats = 17;

@@ -228,7 +228,7 @@ std::vector<std::byte> serialize(const GraphDb& db, bool with_stats) {
     store.u64(stats_payload.size());
     for (std::byte b : stats_payload) store.u8(static_cast<std::uint8_t>(b));
   }
-  store.u64(util::fnv1a(store.data()));
+  store.u64(util::digest_bytes(store.data()));
   return store.take();
 }
 
@@ -252,7 +252,7 @@ util::Result<GraphDb> deserialize(std::span<const std::byte> data) {
   if (version.value() != kGraphStoreVersion) {
     if (version.value() < kGraphStoreVersion) {
       return Error{"graph store version " + std::to_string(version.value()) +
-                       " predates the checksummed format (this build reads version " +
+                       " predates the current format (this build reads version " +
                        std::to_string(kGraphStoreVersion) +
                        "); regenerate it with `tabby analyze --store`",
                    4};
@@ -300,7 +300,7 @@ util::Result<GraphDb> deserialize(std::span<const std::byte> data) {
   ByteReader trailer(data.subspan(data.size() - kChecksumSize));
   auto stored_sum = trailer.u64();
   if (!stored_sum.ok()) return stored_sum.error();
-  std::uint64_t actual_sum = util::fnv1a(data.first(data.size() - kChecksumSize));
+  std::uint64_t actual_sum = util::digest_bytes(data.first(data.size() - kChecksumSize));
   if (stored_sum.value() != actual_sum) {
     return Error{"graph store checksum mismatch (corrupt or tampered store): expected " +
                      util::digest_hex(stored_sum.value()) + ", computed " +

@@ -69,7 +69,7 @@ std::string to_text(const ClassDecl& cls) {
   return out;
 }
 
-std::uint64_t stable_fingerprint(const ClassDecl& cls) { return util::fnv1a(to_text(cls)); }
+std::uint64_t stable_fingerprint(const ClassDecl& cls) { return util::digest_bytes(to_text(cls)); }
 
 std::string to_text(const Program& program) {
   std::string out;

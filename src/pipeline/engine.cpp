@@ -4,8 +4,6 @@
 #include <system_error>
 #include <utility>
 
-#include "corpus/jdk.hpp"
-#include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
 #include "util/strings.hpp"
@@ -172,30 +170,18 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
 
 Engine::~Engine() = default;
 
-std::optional<std::uint64_t> Engine::fingerprint_classpath(
-    const std::vector<std::string>& jar_paths) const {
-  std::vector<std::uint64_t> digests;
-  digests.reserve(jar_paths.size() + 1);
-  if (options_.with_jdk) {
-    digests.push_back(util::fnv1a(jar::write_archive(corpus::jdk_base_archive())));
-  }
-  for (const std::string& path : jar_paths) {
-    auto digest = cache::AnalysisCache::digest_file(path);
-    // An undigestable archive means the key cannot describe the on-disk
-    // bytes: the open still runs (quarantine may salvage it), but the
-    // result must not be resident under a lying key.
-    if (!digest.ok()) return std::nullopt;
-    digests.push_back(digest.value());
-  }
-  return cache::AnalysisCache::snapshot_key(cpg::options_fingerprint(cpg::CpgOptions{}), digests);
-}
-
 util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths,
                                        const ExecContext& ctx, const OpenOptions& opts) {
   obs::Span span("engine.open");
   obs::counter_add("engine.opens");
   const bool want_frozen = opts.use_frozen.value_or(options_.use_frozen);
-  std::optional<std::uint64_t> fp = fingerprint_classpath(jar_paths);
+  // The resident key is the snapshot key. An undigestable archive means the
+  // key cannot describe the on-disk bytes: the open still runs (quarantine
+  // may salvage it), but the result is never resident under a lying key.
+  ClasspathKey keyed = classpath_key(jar_paths, options_.with_jdk,
+                                     cpg::options_fingerprint(cpg::CpgOptions{}));
+  std::optional<std::uint64_t> fp;
+  if (keyed.unreadable.empty()) fp = keyed.key;
 
   if (fp.has_value()) {
     std::lock_guard<std::mutex> lock(mutex_);

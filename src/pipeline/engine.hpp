@@ -9,7 +9,7 @@
 //            of resident analyses keyed by classpath fingerprint (the same
 //            digest-folded key the snapshot cache uses). Opening a classpath
 //            a second time returns the already-resident Analysis without
-//            touching a single archive byte.
+//            decoding anything: it only re-digests the archive bytes.
 //   Analysis one resident classpath: the pipeline Outcome (frozen CSR frame
 //            and/or graph store, stats, optional linked program) plus
 //            find()/query() entry points that reproduce the CLI's
@@ -299,13 +299,6 @@ class Engine {
     std::uint64_t hits = 0;
     std::list<std::uint64_t>::iterator lru;  // position in lru_ (front = MRU)
   };
-
-  /// Classpath fingerprint: the cache snapshot key (options fingerprint
-  /// folded with every archive digest in classpath order). nullopt when any
-  /// archive cannot be digested — such opens still run, but are never
-  /// resident (the key must describe on-disk bytes exactly).
-  std::optional<std::uint64_t> fingerprint_classpath(
-      const std::vector<std::string>& jar_paths) const;
 
   /// Drops `fingerprint` from the map + LRU; caller holds mutex_. Returns
   /// the evicted bytes (0 when absent or still in use).

@@ -77,6 +77,37 @@ std::string salvage_unit(const std::string& path, const jar::DecodeDegradation& 
          std::to_string(degradation.classes_kept + degradation.classes_dropped) + " classes]";
 }
 
+}  // namespace
+
+std::uint64_t jdk_digest() {
+  // The simulated JDK's digest stays FNV-1a: the benchmark's traced pass
+  // (perfbench/) recomputes classpath keys with util::fnv1a over this
+  // archive, and its resident opens must hit the snapshots it publishes.
+  static const std::uint64_t digest = util::fnv1a(jar::write_archive(corpus::jdk_base_archive()));
+  return digest;
+}
+
+ClasspathKey classpath_key(const std::vector<std::string>& jar_paths, bool with_jdk,
+                           std::uint64_t options_fp) {
+  ClasspathKey out;
+  std::vector<std::uint64_t> digests;
+  digests.reserve(jar_paths.size() + 1);
+  if (with_jdk) digests.push_back(jdk_digest());
+  for (const std::string& path : jar_paths) {
+    auto digest = cache::AnalysisCache::digest_file(path);
+    if (!digest.ok()) {
+      out.unreadable.emplace_back(path, digest.error());
+      continue;
+    }
+    out.digested.push_back(path);
+    digests.push_back(digest.value());
+  }
+  out.key = cache::AnalysisCache::snapshot_key(options_fp, digests);
+  return out;
+}
+
+namespace {
+
 util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const Options& options) {
   obs::Span span("pipeline.run");
   span.attr("archives", static_cast<std::uint64_t>(jar_paths.size()));
@@ -124,30 +155,21 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   // part of the analyzed world, so its content is part of the key. Under
   // quarantine an unreadable archive is dropped here (stage "fs-read") so
   // the snapshot key covers exactly the surviving classpath.
-  std::vector<std::string> surviving;
-  std::vector<std::uint64_t> digests;
+  ClasspathKey keyed =
+      classpath_key(jar_paths, options.with_jdk, cpg::options_fingerprint(cpg_options));
   std::optional<util::Error> first_loss;
-  if (options.with_jdk) {
-    digests.push_back(util::fnv1a(jar::write_archive(corpus::jdk_base_archive())));
+  for (const auto& [path, error] : keyed.unreadable) {
+    util::Error loss{path + ": " + error.message};
+    if (!quarantine) return loss;
+    outcome.degradation.add(path, "fs-read", error.message);
+    obs::counter_add("pipeline.units_quarantined");
+    if (!first_loss.has_value()) first_loss = std::move(loss);
   }
-  for (const std::string& path : jar_paths) {
-    auto digest = cache::AnalysisCache::digest_file(path);
-    if (!digest.ok()) {
-      util::Error error{path + ": " + digest.error().message};
-      if (!quarantine) return error;
-      outcome.degradation.add(path, "fs-read", digest.error().message);
-      obs::counter_add("pipeline.units_quarantined");
-      if (!first_loss.has_value()) first_loss = std::move(error);
-      continue;
-    }
-    surviving.push_back(path);
-    digests.push_back(digest.value());
-  }
-  if (quarantine && !jar_paths.empty() && surviving.empty()) {
+  if (quarantine && !jar_paths.empty() && keyed.digested.empty()) {
     return first_loss.value_or(util::Error{"no archive on the classpath survived quarantine"});
   }
-  std::uint64_t key =
-      cache::AnalysisCache::snapshot_key(cpg::options_fingerprint(cpg_options), digests);
+  const std::vector<std::string>& surviving = keyed.digested;
+  const std::uint64_t key = keyed.key;
 
   // Frozen-first warm start: mmap the cached CSR frame when one matches.
   // The sibling .tsnp stays the source of truth — a frozen hit still

@@ -31,6 +31,7 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -201,6 +202,30 @@ util::Result<jir::Program> load_program(const std::vector<std::string>& paths, b
                                         FailurePolicy policy = FailurePolicy::kStrict,
                                         DegradationReport* degradation = nullptr,
                                         const util::Deadline& deadline = {});
+
+/// Content digest of the simulated JDK archive, the first digest folded
+/// into every classpath key that includes the JDK. Computed once per
+/// process: the archive is a fixed model, so rebuilding and re-serializing
+/// it on every open would only repeat the same bytes.
+std::uint64_t jdk_digest();
+
+/// A classpath's snapshot-cache key and the archives it covers.
+struct ClasspathKey {
+  /// AnalysisCache::snapshot_key over the options fingerprint, the JDK's
+  /// digest (when included) and every readable archive's digest, in
+  /// classpath order.
+  std::uint64_t key = 0;
+  /// The archives whose digest is in `key`, in classpath order.
+  std::vector<std::string> digested;
+  /// The archives that could not be read, with why, in classpath order.
+  std::vector<std::pair<std::string, util::Error>> unreadable;
+};
+
+/// The one classpath-key computation behind run()'s snapshot lookup and
+/// Engine::open's resident lookup. Unreadable archives are left out of the
+/// key and listed; each caller decides what an unreadable archive means.
+ClasspathKey classpath_key(const std::vector<std::string>& jar_paths, bool with_jdk,
+                           std::uint64_t options_fp);
 
 /// The full cache-aware front end shared by analyze/find/query: digest the
 /// classpath, warm-start from a snapshot when one matches, otherwise load

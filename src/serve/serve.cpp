@@ -18,7 +18,6 @@
 #include "serve/json.hpp"
 #include "util/failpoint.hpp"
 #include "util/signals.hpp"
-#include "util/strings.hpp"
 
 namespace tabby::serve {
 
@@ -334,11 +333,8 @@ Json Daemon::op_find(const Json& request) {
   pipeline::FindResult result = analysis.value()->find(ctx);
   const pipeline::Outcome& outcome = analysis.value()->outcome();
 
-  // The exact bytes `tabby find` prints for the same request (the header's
-  // search time is wall clock — CI filters it the same way it already does
-  // for warm-vs-cold comparisons).
-  std::string text = std::to_string(result.report.chains.size()) + " gadget chain(s), " +
-                     util::format_double(result.report.search_seconds, 3) + " s search\n\n";
+  // The exact bytes `tabby find` prints for the same request.
+  std::string text = std::to_string(result.report.chains.size()) + " gadget chain(s)\n\n";
   for (std::size_t i = 0; i < result.report.chains.size(); ++i) {
     text += result.report.chains[i].to_string();
     if (result.verified) {

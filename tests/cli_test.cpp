@@ -337,17 +337,12 @@ TEST_F(CliFixture, TracingAndMetricsDoNotPerturbOutputs) {
   EXPECT_NE(traced.err.find("metrics: span "), std::string::npos) << traced.err;
   EXPECT_NE(traced.err.find("metrics: counter "), std::string::npos) << traced.err;
 
-  // find output (the chains) is identical too, modulo its own timing line.
+  // find output (the chains) is byte-identical too: it carries no timing.
   CliRun find_plain = run({"find", path("BeanShell1.tjar")});
   CliRun find_traced = run({"find", path("BeanShell1.tjar"), "--trace", path("trace2.json")});
   ASSERT_EQ(find_plain.code, 0);
   ASSERT_EQ(find_traced.code, 0);
-  auto strip_timing = [](const std::string& text) {
-    std::size_t cut = text.find(" s search");
-    std::size_t comma = text.rfind(", ", cut);
-    return text.substr(0, comma) + text.substr(cut + 9);
-  };
-  EXPECT_EQ(strip_timing(find_plain.out), strip_timing(find_traced.out));
+  EXPECT_EQ(find_plain.out, find_traced.out);
 }
 
 TEST_F(CliFixture, MetricsCountersReportCacheTraffic) {

@@ -387,19 +387,6 @@ CliRun run_cli_capture(std::vector<std::string> args) {
   return result;
 }
 
-/// Drops the wall-clock header line ("N gadget chain(s), T s search") —
-/// the only non-deterministic bytes in `tabby find` output.
-std::string strip_timing(const std::string& text) {
-  std::istringstream lines(text);
-  std::string line, kept;
-  while (std::getline(lines, line)) {
-    if (line.find(" s search") != std::string::npos) continue;
-    kept += line;
-    kept += '\n';
-  }
-  return kept;
-}
-
 class DistCliFixture : public DistFixture {
  protected:
   void SetUp() override {
@@ -425,7 +412,7 @@ TEST_F(DistCliFixture, CliFindIsByteIdenticalAtAnyWorkerCount) {
   for (const char* workers : {"1", "2", "4"}) {
     CliRun dist = run_cli_capture({"find", jar_, "--workers", workers});
     EXPECT_EQ(dist.code, 0) << dist.err;
-    EXPECT_EQ(strip_timing(dist.out), strip_timing(serial.out)) << "workers=" << workers;
+    EXPECT_EQ(dist.out, serial.out) << "workers=" << workers;
     EXPECT_EQ(dist.err, serial.err) << "workers=" << workers;
   }
 }
@@ -437,7 +424,7 @@ TEST_F(DistCliFixture, CliFindAbsorbsACrashByteIdentically) {
   util::failpoint::activate("dist.worker.crash", 1);
   CliRun dist = run_cli_capture({"find", jar_, "--workers", "4"});
   EXPECT_EQ(dist.code, 0) << dist.err;
-  EXPECT_EQ(strip_timing(dist.out), strip_timing(serial.out));
+  EXPECT_EQ(dist.out, serial.out);
   EXPECT_EQ(dist.err, serial.err);
 }
 
@@ -534,7 +521,7 @@ TEST_F(DistServeFixture, RequestWorkersFieldMatchesOneShotAndSurfacesDistStats) 
   auto response = round_trip(request);
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->flag("ok")) << response->str("error");
-  EXPECT_EQ(strip_timing(response->str("text")), strip_timing(one_shot.out));
+  EXPECT_EQ(response->str("text"), one_shot.out);
 
   serve::Json stats_request = serve::Json::object();
   stats_request.set("op", "stats");
@@ -553,7 +540,7 @@ TEST_F(DistServeFixture, DaemonDefaultWorkersApplyWhenTheRequestSendsNone) {
   auto response = round_trip(find_request());
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->flag("ok")) << response->str("error");
-  EXPECT_EQ(strip_timing(response->str("text")), strip_timing(one_shot.out));
+  EXPECT_EQ(response->str("text"), one_shot.out);
 
   serve::Json stats_request = serve::Json::object();
   stats_request.set("op", "stats");

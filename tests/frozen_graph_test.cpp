@@ -11,7 +11,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -274,7 +276,7 @@ TEST(FrozenGraph, VersionSkewAndBadMagicAreStructuredErrors) {
 
   // Bump the version and re-sign so the checksum cannot mask the skew.
   auto resign = [](std::vector<std::byte>& f) {
-    std::uint64_t sum = util::fnv1a(
+    std::uint64_t sum = util::digest_bytes(
         std::span<const std::byte>(f.data(), f.size() - graph::kFrozenChecksumSize));
     std::memcpy(f.data() + f.size() - graph::kFrozenChecksumSize, &sum, sizeof sum);
   };
@@ -292,6 +294,22 @@ TEST(FrozenGraph, VersionSkewAndBadMagicAreStructuredErrors) {
   std::memcpy(wrong.data(), &magic, sizeof magic);
   resign(wrong);
   EXPECT_FALSE(graph::FrozenGraph::from_bytes(wrong).ok());
+
+  // A version-1 frame, signed with the FNV-1a64 that version used, is
+  // rejected by version before any checksum is computed: an old cache is a
+  // clean version miss with a hint, never a "corrupt or tampered" error.
+  std::vector<std::byte> legacy = frame;
+  std::uint16_t v1 = 1;
+  std::memcpy(legacy.data() + 4, &v1, sizeof v1);
+  std::uint64_t fnv = util::fnv1a(
+      std::span<const std::byte>(legacy.data(), legacy.size() - graph::kFrozenChecksumSize));
+  std::memcpy(legacy.data() + legacy.size() - graph::kFrozenChecksumSize, &fnv, sizeof fnv);
+  auto rejected = graph::FrozenGraph::from_bytes(legacy);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.error().message.find("version 1 predates"), std::string::npos)
+      << rejected.error().message;
+  EXPECT_EQ(rejected.error().message.find("checksum mismatch"), std::string::npos)
+      << rejected.error().message;
 }
 
 TEST(FrozenGraph, MemoryBudgetChargesFrameForLifetime) {
@@ -475,6 +493,80 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   std::vector<char> after(fs::file_size(frames[0]));
   std::ifstream(frames[0], std::ios::binary).read(after.data(), after.size());
   EXPECT_EQ(before, after);  // byte-identical republish
+}
+
+// A cache directory written by the FNV-1a-era build (fragment, snapshot
+// and verdict entries v1, frozen frame v1, each signed with FNV-1a64) must
+// be a clean version miss that republishes current entries: same chains and
+// verdicts, and never a checksum or corruption diagnostic.
+TEST_F(FrozenCacheFixture, OldFormatCacheMissesAndRepublishes) {
+  auto strip_cache_line = [](const std::string& text) {
+    return text.rfind("cache:", 0) == 0 ? text.substr(text.find('\n') + 1) : text;
+  };
+  CliRun cold = run({"find", jar_, "--cache", cache_dir_, "--verify"});
+  ASSERT_EQ(cold.code, 0) << cold.err;
+  ASSERT_NE(cold.out.find("auto-verify:"), std::string::npos) << cold.out;
+
+  // Rewrite every entry in place as the previous format: old version field,
+  // re-signed with FNV-1a64 where the checksum covers the whole file. (The
+  // snapshot's header checksum sits mid-file; its version field is checked
+  // before it, exactly as in every other format.)
+  struct Legacy {
+    const char* extension;
+    std::uint16_t version;
+    bool whole_file_checksum;
+  };
+  const Legacy formats[] = {{".tfrag", 1, true},
+                            {".tsnp", 1, false},
+                            {".tvdt", 1, true},
+                            {".tfzn", 1, true}};
+  std::map<std::string, std::vector<char>> current;
+  for (const auto& entry : fs::recursive_directory_iterator(cache_dir_)) {
+    if (!entry.is_regular_file()) continue;
+    for (const Legacy& legacy : formats) {
+      if (entry.path().extension() != legacy.extension) continue;
+      std::vector<char> bytes(fs::file_size(entry.path()));
+      std::ifstream(entry.path(), std::ios::binary).read(bytes.data(), bytes.size());
+      current[entry.path().string()] = bytes;
+      std::memcpy(bytes.data() + 4, &legacy.version, sizeof legacy.version);
+      if (legacy.whole_file_checksum) {
+        std::uint64_t fnv = util::fnv1a(
+            std::as_bytes(std::span<const char>(bytes.data(), bytes.size() - 8)));
+        std::memcpy(bytes.data() + bytes.size() - 8, &fnv, sizeof fnv);
+      }
+      std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+          .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+  }
+  std::set<std::string> kinds;
+  for (const auto& [path, bytes] : current) kinds.insert(fs::path(path).extension().string());
+  EXPECT_EQ(kinds, (std::set<std::string>{".tfrag", ".tfzn", ".tsnp", ".tvdt"}));
+
+  CliRun upgraded = run({"find", jar_, "--cache", cache_dir_, "--verify", "--metrics"});
+  ASSERT_EQ(upgraded.code, 0) << upgraded.err;
+  EXPECT_EQ(strip_cache_line(upgraded.out), strip_cache_line(cold.out));
+  EXPECT_NE(upgraded.out.find("snapshot miss"), std::string::npos) << upgraded.out;
+  EXPECT_EQ(upgraded.err.find("checksum"), std::string::npos) << upgraded.err;
+  EXPECT_EQ(upgraded.err.find("corrupt"), std::string::npos) << upgraded.err;
+  EXPECT_NE(upgraded.err.find("metrics: counter cache.verdict_misses"), std::string::npos)
+      << upgraded.err;
+
+  // Republished: every entry is back in the current format, and the
+  // deterministic ones byte-identical to the first publish (the snapshot
+  // embeds the build's wall time, so only its version is compared).
+  for (const auto& [path, bytes] : current) {
+    std::vector<char> now(fs::file_size(path));
+    std::ifstream(path, std::ios::binary).read(now.data(), now.size());
+    ASSERT_GE(now.size(), 6u) << path;
+    EXPECT_EQ(std::memcmp(now.data() + 4, bytes.data() + 4, 2), 0) << path;
+    if (fs::path(path).extension() != ".tsnp") {
+      EXPECT_EQ(now, bytes) << path;
+    }
+  }
+  CliRun warm = run({"find", jar_, "--cache", cache_dir_, "--verify"});
+  ASSERT_EQ(warm.code, 0) << warm.err;
+  EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
+  EXPECT_EQ(strip_cache_line(warm.out), strip_cache_line(cold.out));
 }
 
 TEST_F(FrozenCacheFixture, CliFindIsByteIdenticalFrozenVsStore) {

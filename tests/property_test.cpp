@@ -13,6 +13,7 @@
 #include "jir/parser.hpp"
 #include "jir/printer.hpp"
 #include "util/digest.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tabby {
@@ -177,11 +178,11 @@ TEST(DigestProperty, StableAcrossOrderingsAndJobCounts) {
 
   std::vector<std::uint64_t> forward(archives.size()), reverse(archives.size()),
       parallel(archives.size());
-  for (std::size_t i = 0; i < archives.size(); ++i) forward[i] = util::fnv1a(archives[i]);
-  for (std::size_t i = archives.size(); i-- > 0;) reverse[i] = util::fnv1a(archives[i]);
+  for (std::size_t i = 0; i < archives.size(); ++i) forward[i] = util::digest_bytes(archives[i]);
+  for (std::size_t i = archives.size(); i-- > 0;) reverse[i] = util::digest_bytes(archives[i]);
   util::ThreadPool pool(4);
   pool.parallel_for(archives.size(),
-                    [&](std::size_t i) { parallel[i] = util::fnv1a(archives[i]); });
+                    [&](std::size_t i) { parallel[i] = util::digest_bytes(archives[i]); });
 
   EXPECT_EQ(forward, reverse);
   EXPECT_EQ(forward, parallel);
@@ -192,27 +193,84 @@ TEST(DigestProperty, StableAcrossOrderingsAndJobCounts) {
   EXPECT_EQ(unique.size(), forward.size());
 }
 
-/// Every FNV-1a step (xor a byte, multiply by an odd prime) is a bijection
-/// on the 64-bit state, so for equal-length inputs a single-byte change
-/// *always* changes the digest — exhaustively checked at every offset. A
-/// stale fragment or snapshot can therefore never be served for a .tjar
-/// that was mutated in place.
+/// Every digest step is a bijection of the word it absorbs and of the lane
+/// or state it updates, and the fold and avalanche are bijections, so for
+/// equal-length inputs a change confined to one aligned 8-byte word
+/// *always* changes the digest. Checked exhaustively: every offset of an
+/// archive, every length 0..130 (empty, tail only, exactly one 32-byte
+/// block, blocks plus tail) with several bit patterns per byte, and every
+/// offset of a 1 MiB buffer. A stale fragment or snapshot can therefore
+/// never be served for a .tjar that was mutated in place.
 TEST(DigestProperty, AnySingleByteMutationChangesTheDigest) {
-  std::vector<std::byte> bytes = jar::write_archive(corpus::build_component("BeanShell1").jar);
-  ASSERT_FALSE(bytes.empty());
-  std::uint64_t original = util::fnv1a(bytes);
-  for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
-    std::byte saved = bytes[offset];
-    bytes[offset] ^= std::byte{0x01};
-    EXPECT_NE(util::fnv1a(bytes), original) << "digest collision at offset " << offset;
-    bytes[offset] = saved;
+  auto expect_every_byte_matters = [](std::vector<std::byte> bytes,
+                                      std::initializer_list<std::uint8_t> flips) {
+    const std::uint64_t original = util::digest_bytes(bytes);
+    for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
+      const std::byte saved = bytes[offset];
+      for (std::uint8_t flip : flips) {
+        bytes[offset] = saved ^ std::byte{flip};
+        ASSERT_NE(util::digest_bytes(bytes), original)
+            << "digest collision at offset " << offset << " of " << bytes.size()
+            << " byte(s), flip 0x" << std::hex << int{flip};
+      }
+      bytes[offset] = saved;
+    }
+  };
+
+  std::vector<std::byte> archive = jar::write_archive(corpus::build_component("BeanShell1").jar);
+  ASSERT_FALSE(archive.empty());
+  expect_every_byte_matters(archive, {0x01});
+
+  util::Rng rng(42);
+  for (std::size_t length = 0; length <= 130; ++length) {
+    std::vector<std::byte> bytes(length);
+    for (std::byte& b : bytes) b = static_cast<std::byte>(rng.next_below(256));
+    expect_every_byte_matters(bytes, {0x01, 0x80, 0xFF});
   }
+
+  // 1 MiB: hashing it once per offset would be a terabyte, so flip the
+  // first and last 64 bytes exhaustively and every 1021st byte between. The
+  // prime stride is coprime to the 32-byte block, so it reaches every lane
+  // and every byte position within a word.
+  std::vector<std::byte> big(std::size_t{1} << 20);
+  for (std::byte& b : big) b = static_cast<std::byte>(rng.next_below(256));
+  const std::uint64_t original = util::digest_bytes(big);
+  std::set<std::size_t> offsets;
+  for (std::size_t i = 0; i < 64; ++i) offsets.insert({i, big.size() - 1 - i});
+  for (std::size_t offset = 0; offset < big.size(); offset += 1021) offsets.insert(offset);
+  for (std::size_t offset : offsets) {
+    big[offset] ^= std::byte{0x01};
+    EXPECT_NE(util::digest_bytes(big), original) << "digest collision at offset " << offset;
+    big[offset] ^= std::byte{0x01};
+  }
+
+  // An input is not confused with its zero-extended copy: the length seeds
+  // the state before the last partial word is zero-padded.
+  std::vector<std::byte> zeros(13);
+  EXPECT_NE(util::digest_bytes(std::span<const std::byte>(zeros).first(12)),
+            util::digest_bytes(zeros));
+}
+
+/// Pinned digests of fixed inputs: every cache key, store trailer and frame
+/// checksum depends on these exact values, so a drift in the construction
+/// (constants, rotation, byte order, tail handling) must fail here rather
+/// than silently turn every cache into misses or every store into errors.
+/// The values were cross-checked against an independent re-implementation.
+TEST(DigestProperty, GoldenValuesArePinned) {
+  std::vector<std::byte> ramp(100);
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<std::byte>(i);
+  EXPECT_EQ(util::digest_hex(util::digest_bytes("")), "4f2c7808079ab827");
+  EXPECT_EQ(util::digest_hex(util::digest_bytes("a")), "e4cb4944403ecda9");
+  EXPECT_EQ(util::digest_hex(util::digest_bytes("tabby")), "32bef61706710afe");
+  EXPECT_EQ(util::digest_hex(util::digest_bytes("0123456789abcdef0123456789abcdef")),
+            "66efceff3a5e6ec0");
+  EXPECT_EQ(util::digest_hex(util::digest_bytes(ramp)), "4692ae212deaf6bc");
 }
 
 TEST(DigestProperty, HexRenderingIsFixedWidthAndDistinct) {
   EXPECT_EQ(util::digest_hex(0), "0000000000000000");
   EXPECT_EQ(util::digest_hex(0xDEADBEEFCAFEF00DULL), "deadbeefcafef00d");
-  EXPECT_NE(util::digest_hex(util::fnv1a("a")), util::digest_hex(util::fnv1a("b")));
+  EXPECT_NE(util::digest_hex(util::digest_bytes("a")), util::digest_hex(util::digest_bytes("b")));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllComponents, ComponentProperty,

@@ -13,6 +13,7 @@
 #include "cpg/builder.hpp"
 #include "graph/serialize.hpp"
 #include "util/bytes.hpp"
+#include "util/digest.hpp"
 
 namespace tabby::graph {
 namespace {
@@ -142,8 +143,8 @@ TEST(SerializeRobustness, FutureVersionIsRejectedWithDiagnostic) {
 
 // Regression: the pre-versioning (version 1) layout had no payload length
 // and no checksum, and load() used to accept arbitrary bytes after the
-// 6-byte prefix. Such stores must now fail closed with a message that tells
-// the user how to recover.
+// 6-byte prefix. Such stores, like version 2 ones, must fail closed with a
+// message that tells the user how to recover.
 TEST(SerializeRobustness, PreVersioningStoreIsRejectedWithHelpfulMessage) {
   util::ByteWriter legacy;
   legacy.u32(kGraphStoreMagic);
@@ -161,6 +162,21 @@ TEST(SerializeRobustness, PreVersioningStoreIsRejectedWithHelpfulMessage) {
       << r.error().to_string();
   EXPECT_NE(r.error().to_string().find("tabby analyze --store"), std::string::npos)
       << r.error().to_string();
+
+  // Version 2 (this layout with an FNV-1a64 trailer) is what every earlier
+  // `analyze --store` wrote: rejected by version with the same hint, never
+  // reported as a corrupt or tampered store.
+  std::vector<std::byte> v2 = serialize(tiny_graph());
+  v2[4] = std::byte{2};
+  v2[5] = std::byte{0};
+  std::uint64_t fnv = util::fnv1a(std::span<const std::byte>(v2).first(v2.size() - 8));
+  for (int i = 0; i < 8; ++i) v2[v2.size() - 8 + i] = static_cast<std::byte>(fnv >> (8 * i));
+  auto r2 = deserialize(v2);
+  ASSERT_FALSE(r2.ok());
+  const std::string message = r2.error().to_string();
+  EXPECT_NE(message.find("version 2 predates"), std::string::npos) << message;
+  EXPECT_NE(message.find("tabby analyze --store"), std::string::npos) << message;
+  EXPECT_EQ(message.find("checksum mismatch"), std::string::npos) << message;
 }
 
 TEST(SerializeRobustness, LoadRejectsMissingEmptyAndGarbageFiles) {

@@ -41,19 +41,6 @@ CliRun run_cli_capture(std::vector<std::string> args) {
   return result;
 }
 
-/// Drops the wall-clock header line ("N gadget chain(s), T s search") —
-/// the only non-deterministic bytes in `tabby find` output.
-std::string strip_timing(const std::string& text) {
-  std::istringstream lines(text);
-  std::string line, kept;
-  while (std::getline(lines, line)) {
-    if (line.find(" s search") != std::string::npos) continue;
-    kept += line;
-    kept += '\n';
-  }
-  return kept;
-}
-
 class ServeFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -134,7 +121,7 @@ TEST_F(ServeFixture, FindThroughDaemonMatchesOneShotCli) {
   EXPECT_GT(response->num("chains"), 0);
   // The response embeds the exact bytes cmd_find prints; only the timing
   // header line differs between runs.
-  EXPECT_EQ(strip_timing(response->str("text")), strip_timing(one_shot.out));
+  EXPECT_EQ(response->str("text"), one_shot.out);
 }
 
 TEST_F(ServeFixture, QueryThroughDaemonMatchesOneShotCli) {
@@ -165,7 +152,7 @@ TEST_F(ServeFixture, ClientSubcommandMatchesOneShotCli) {
 
   CliRun find_client = run_cli_capture({"client", socket_, "find", jar_a_});
   EXPECT_EQ(find_client.code, find_direct.code);
-  EXPECT_EQ(strip_timing(find_client.out), strip_timing(find_direct.out));
+  EXPECT_EQ(find_client.out, find_direct.out);
 
   CliRun query_client = run_cli_capture({"client", socket_, "query", jar_a_, query});
   EXPECT_EQ(query_client.code, query_direct.code);

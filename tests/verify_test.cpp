@@ -363,19 +363,6 @@ CliRun run_cli_capture(std::vector<std::string> args) {
   return result;
 }
 
-/// Drops the wall-clock header line — the only non-deterministic bytes in
-/// `tabby find` output.
-std::string strip_timing(const std::string& text) {
-  std::istringstream lines(text);
-  std::string line, kept;
-  while (std::getline(lines, line)) {
-    if (line.find(" s search") != std::string::npos) continue;
-    kept += line;
-    kept += '\n';
-  }
-  return kept;
-}
-
 class VerifyCliFixture : public VerifyFixture {
  protected:
   void SetUp() override {
@@ -405,7 +392,7 @@ TEST_F(VerifyCliFixture, CliVerifyIsByteIdenticalAtAnyVerifyWorkerCount) {
   for (const char* workers : {"1", "2", "4"}) {
     CliRun dist = run_cli_capture({"find", jar_, "--verify", "--verify-workers", workers});
     EXPECT_EQ(dist.code, 0) << dist.err;
-    EXPECT_EQ(strip_timing(dist.out), strip_timing(base.out)) << "verify-workers=" << workers;
+    EXPECT_EQ(dist.out, base.out) << "verify-workers=" << workers;
     EXPECT_EQ(dist.err, base.err) << "verify-workers=" << workers;
   }
 }
@@ -415,7 +402,7 @@ TEST_F(VerifyCliFixture, CliVerifyIsByteIdenticalFrozenVsStore) {
   ASSERT_EQ(frozen.code, 0) << frozen.err;
   CliRun store = run_cli_capture({"find", jar_, "--verify", "--no-frozen"});
   ASSERT_EQ(store.code, 0) << store.err;
-  EXPECT_EQ(strip_timing(store.out), strip_timing(frozen.out));
+  EXPECT_EQ(store.out, frozen.out);
   EXPECT_EQ(store.err, frozen.err);
 }
 
@@ -426,7 +413,7 @@ TEST_F(VerifyCliFixture, CliVerifyAbsorbsACrashByteIdentically) {
   util::failpoint::activate("runtime.verify.crash", 2);
   CliRun dist = run_cli_capture({"find", jar_, "--verify", "--verify-workers", "2"});
   EXPECT_EQ(dist.code, 0) << dist.err;
-  EXPECT_EQ(strip_timing(dist.out), strip_timing(base.out));
+  EXPECT_EQ(dist.out, base.out);
   EXPECT_EQ(dist.err, base.err);
 }
 
@@ -508,7 +495,7 @@ TEST_F(VerifyCliFixture, CliWarmVerdictCacheIsByteIdenticalAndAuditable) {
   };
   CliRun warm = run_cli_capture({"find", jar_, "--verify", "--cache", cache_dir});
   EXPECT_EQ(warm.code, 0) << warm.err;
-  EXPECT_EQ(strip_cache_header(strip_timing(warm.out)), strip_cache_header(strip_timing(cold.out)));
+  EXPECT_EQ(strip_cache_header(warm.out), strip_cache_header(cold.out));
 
   // The offline audit knows about verdict frames and reports them healthy.
   CliRun audit = run_cli_capture({"cache", cache_dir});
@@ -574,7 +561,7 @@ TEST_F(VerifyServeFixture, ServeVerifyMatchesOneShotAndSurfacesVerdictCounts) {
   auto response = round_trip(verify_request());
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->flag("ok")) << response->str("error");
-  EXPECT_EQ(strip_timing(response->str("text")), strip_timing(one_shot.out));
+  EXPECT_EQ(response->str("text"), one_shot.out);
   EXPECT_TRUE(response->flag("verified"));
   EXPECT_GE(response->num("effective"), 1.0);
   EXPECT_EQ(response->num("unconfirmed"), 0.0);
