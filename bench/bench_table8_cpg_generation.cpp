@@ -140,12 +140,12 @@ int main() {
   fs::remove_all(work);
   fs::create_directories(work / "jars");
 
-  std::vector<fs::path> jar_files;
+  std::vector<std::string> jar_paths;
   for (const std::string& name : corpus::component_names()) {
     corpus::Component component = corpus::build_component(name);
-    fs::path file = work / "jars" / (std::to_string(jar_files.size()) + ".tjar");
+    fs::path file = work / "jars" / (std::to_string(jar_paths.size()) + ".tjar");
     (void)jar::write_archive_file(component.jar, file);
-    jar_files.push_back(file);
+    jar_paths.push_back(file.string());
   }
 
   cpg::CpgOptions cache_options;
@@ -153,16 +153,9 @@ int main() {
   std::uint64_t jdk_digest = pipeline::jdk_digest();
 
   auto run_cold = [&](cache::AnalysisCache& cache) {
-    std::vector<std::uint64_t> digests{jdk_digest};
-    std::vector<jar::Archive> classpath;
-    classpath.push_back(corpus::jdk_base_archive());
-    for (const fs::path& file : jar_files) {
-      auto loaded = cache.load_archive(file);
-      digests.push_back(loaded.value().digest);
-      classpath.push_back(std::move(loaded.value().archive));
-    }
-    std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
-    cpg::Cpg cpg = cpg::build_cpg(jar::link(classpath), cache_options);
+    std::uint64_t key = pipeline::classpath_key(jar_paths, /*with_jdk=*/true, options_fp).key;
+    cpg::Cpg cpg = cpg::build_cpg(pipeline::load_program(jar_paths, /*with_jdk=*/true).value(),
+                                  cache_options);
     (void)cache.store_snapshot(key, cpg.stats, graph::serialize(cpg.db));
     auto frozen = graph::FrozenGraph::freeze(cpg.db, key);
     if (frozen.ok()) (void)cache.store_frozen(key, frozen.value());
@@ -170,7 +163,7 @@ int main() {
   };
   auto run_warm = [&](cache::AnalysisCache& cache) {
     std::vector<std::uint64_t> digests{jdk_digest};
-    for (const fs::path& file : jar_files) {
+    for (const std::string& file : jar_paths) {
       digests.push_back(cache::AnalysisCache::digest_file(file).value());
     }
     std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
@@ -184,7 +177,7 @@ int main() {
   volatile std::size_t frozen_nodes = 0;  // keep the mmap'd graph observable
   auto run_warm_frozen = [&](cache::AnalysisCache& cache) {
     std::vector<std::uint64_t> digests{jdk_digest};
-    for (const fs::path& file : jar_files) {
+    for (const std::string& file : jar_paths) {
       digests.push_back(cache::AnalysisCache::digest_file(file).value());
     }
     std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
@@ -239,7 +232,7 @@ int main() {
                        "digest + frame mmap + store verify (no graph decode)"});
   std::printf("%s\n", cache_table.render().c_str());
   std::printf("classpath: %zu jars, %zu classes, %zu methods; warm/cold stats identical: %s\n",
-              jar_files.size() + 1, cold_stats.class_nodes, cold_stats.method_nodes,
+              jar_paths.size() + 1, cold_stats.class_nodes, cold_stats.method_nodes,
               (cold_stats.class_nodes == warm_stats.class_nodes &&
                cold_stats.relationship_edges == warm_stats.relationship_edges &&
                frozen_stats.class_nodes == warm_stats.class_nodes && frozen_nodes > 0)
@@ -255,8 +248,7 @@ int main() {
   // already-built frozen CSR. Same ysoserial classpath, median of 3.
   std::printf("\nResident engine vs one-shot — find request latency (median of 3)\n");
   {
-    std::vector<std::string> classpath;
-    for (const fs::path& file : jar_files) classpath.push_back(file.string());
+    const std::vector<std::string>& classpath = jar_paths;
 
     auto one_shot_request = [&] {
       pipeline::Options options;

@@ -1,16 +1,9 @@
 // Incremental analysis cache (the ROADMAP's "not doing the work at all"
 // multiplier). Real deployments re-scan near-identical classpaths; the
 // paper's Neo4j store exists precisely so a graph built once can be
-// re-queried. This module persists two kinds of artifacts under a cache
-// directory, both keyed by content digests (util/digest.hpp):
+// re-queried. This module persists its artifacts under a cache directory,
+// each keyed by content digests (util/digest.hpp):
 //
-//   fragments/<digest>.tfrag   per-archive fragment: the decoded archive
-//                              re-encoded in canonical TJAR form plus the
-//                              per-class stable fingerprints. Keyed by the
-//                              util::digest_bytes of the raw .tjar file, so a
-//                              changed archive simply misses and only it is
-//                              re-read — unchanged neighbours warm-start
-//                              before the (cheap) cross-archive link step.
 //   snapshots/<key>.tsnp       whole-classpath CPG snapshot: CpgStats plus
 //                              the graph::serialize (version-3, checksummed)
 //                              bytes, embedded verbatim so a warm
@@ -45,9 +38,14 @@
 // truncated or version-skewed cache entries are detected via the same
 // magic/version/checksum discipline as the graph store and are treated as
 // misses (the cache self-heals by recomputing and overwriting), never as
-// errors and never as data. Fragments carry a whole-entry checksum; a
+// errors and never as data. Verdicts carry a whole-entry checksum; a
 // snapshot checksums only its header and lets the embedded graph store's
 // own checksum cover the blob, so the warm path hashes the megabytes once.
+//
+// There is no per-archive entry: a snapshot miss decodes the classpath with
+// the same parallel pipeline::load_program the cache-less path uses. A
+// `fragments/` directory left by an older build is never read; the audit
+// reports its files as orphans and `--prune` reclaims them.
 #pragma once
 
 #include <chrono>
@@ -61,40 +59,30 @@
 #include "cpg/builder.hpp"
 #include "graph/frozen.hpp"
 #include "graph/graph.hpp"
-#include "jar/archive.hpp"
 #include "util/memory_budget.hpp"
 #include "util/result.hpp"
 
 namespace tabby::cache {
 
-inline constexpr std::uint32_t kFragmentMagic = 0x54465247;  // "TFRG"
 // Entry versions. Version 2 of each entry (and of the snapshot-key salt)
 // came with the switch from FNV-1a to util::digest_bytes for every content
 // digest and checksum: a cache directory written before it is a clean
-// version (or key) miss that republishes, never a checksum error.
-inline constexpr std::uint16_t kFragmentVersion = 2;
+// version (or key) miss that republishes, never a checksum error. Snapshot
+// version 3 dropped the build's wall time from the stats block, so two cold
+// runs publish byte-identical snapshots.
 inline constexpr std::uint32_t kSnapshotMagic = 0x54534E50;  // "TSNP"
-inline constexpr std::uint16_t kSnapshotVersion = 2;
+inline constexpr std::uint16_t kSnapshotVersion = 3;
 inline constexpr std::uint32_t kVerdictMagic = 0x54564454;  // "TVDT"
 inline constexpr std::uint16_t kVerdictVersion = 2;
 
 /// Hit/miss telemetry for one pipeline run, rendered as the CLI's
 /// "cache:" stats line.
 struct CacheStats {
-  std::size_t fragment_hits = 0;
-  std::size_t fragment_misses = 0;
   bool snapshot_checked = false;
   bool snapshot_hit = false;
   std::uint64_t snapshot_key = 0;
 
   std::string to_line() const;
-};
-
-/// One classpath entry after cache-aware loading.
-struct LoadedArchive {
-  jar::Archive archive;
-  std::uint64_t digest = 0;  // util::digest_bytes of the raw .tjar file
-  bool from_fragment = false;
 };
 
 /// One cached chain-verification verdict (see src/finder/verify.hpp; the
@@ -133,11 +121,6 @@ class AnalysisCache {
   /// order. Pure function — stable across job counts and process restarts.
   static std::uint64_t snapshot_key(std::uint64_t options_fp,
                                     const std::vector<std::uint64_t>& archive_digests);
-
-  /// Cache-aware decode of one archive file: digests the raw bytes, loads
-  /// the matching fragment when present (and intact), otherwise decodes the
-  /// original bytes and writes the fragment back. Updates stats().
-  util::Result<LoadedArchive> load_archive(const std::filesystem::path& file);
 
   /// Warm-start lookup. nullopt on miss (absent, corrupt, truncated or
   /// version-skewed snapshot). Updates stats(). With `need_db = false` the
@@ -185,7 +168,6 @@ class AnalysisCache {
  private:
   explicit AnalysisCache(std::filesystem::path dir) : dir_(std::move(dir)) {}
 
-  std::filesystem::path fragment_path(std::uint64_t digest) const;
   std::filesystem::path snapshot_path(std::uint64_t key) const;
   std::filesystem::path frozen_path(std::uint64_t key) const;
   std::filesystem::path verdict_path(std::uint64_t key) const;
@@ -200,18 +182,18 @@ class AnalysisCache {
 // Lazy self-healing only repairs entries a run happens to touch; a cache
 // directory accumulates corrupt and orphaned files it never reads again.
 // audit_cache() walks the whole directory eagerly, re-validating every entry
-// with the exact discipline the hot path applies (frame checksum + interior
-// structure for fragments; header checksum + embedded graph store
-// deserialization for snapshots; full structural attach + content-key
-// binding for frozen frames) and flagging what the hot path would treat
-// as a miss — plus files the cache would never consult at all (orphans:
-// stray names, leftover .tmp files from interrupted publishes, and frozen
-// frames whose sibling .tsnp is missing or corrupt — the hot path only
-// trusts a .tfzn alongside an intact snapshot).
+// with the exact discipline the hot path applies (header checksum + embedded
+// graph store deserialization for snapshots; full structural attach +
+// content-key binding for frozen frames; frame checksum + key binding for
+// verdicts) and flagging what the hot path would treat as a miss — plus
+// files the cache would never consult at all (orphans: stray names, leftover
+// .tmp files from interrupted publishes, anything under an older build's
+// fragments/ directory, and frozen frames whose sibling .tsnp is missing or
+// corrupt — the hot path only trusts a .tfzn alongside an intact snapshot).
 
 /// One file examined by audit_cache(), in deterministic (sorted) walk order.
 struct CacheAuditEntry {
-  enum class Kind : std::uint8_t { Fragment, Snapshot, FrozenSnapshot, Verdict, Orphan };
+  enum class Kind : std::uint8_t { Snapshot, FrozenSnapshot, Verdict, Orphan };
   enum class State : std::uint8_t { Intact, Corrupt, Orphaned };
 
   std::filesystem::path path;
@@ -224,7 +206,6 @@ struct CacheAuditEntry {
 
 struct CacheAuditReport {
   std::vector<CacheAuditEntry> entries;
-  std::size_t fragments_checked = 0;
   std::size_t snapshots_checked = 0;
   std::size_t frozen_checked = 0;
   std::size_t verdicts_checked = 0;

@@ -276,8 +276,8 @@ int usage(std::ostream& err) {
          "                hang on one chain demotes that chain to UNCONFIRMED\n"
          "                instead of killing the run. Verdicts are\n"
          "                byte-identical at any N.\n"
-         "  --cache DIR   incremental analysis cache: per-archive fragments plus\n"
-         "                whole-classpath CPG snapshots, keyed by content digests.\n"
+         "  --cache DIR   incremental analysis cache: whole-classpath CPG\n"
+         "                snapshots, keyed by content digests.\n"
          "                A warm run on an unchanged classpath skips recomputation\n"
          "                and produces identical output.\n"
          "  --frozen / --no-frozen\n"
@@ -482,8 +482,7 @@ int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
       << " CALL, " << outcome.stats.alias_edges << " ALIAS)\n"
       << "sources:  " << outcome.stats.source_methods << "\n"
       << "sinks:    " << outcome.stats.sink_methods << "\n"
-      << "pruned:   " << outcome.stats.pruned_call_sites << " uncontrollable call sites\n"
-      << "build:    " << util::format_double(outcome.stats.build_seconds, 3) << " s\n";
+      << "pruned:   " << outcome.stats.pruned_call_sites << " uncontrollable call sites\n";
   if (!args.store.empty()) {
     // Write the serialized bytes directly: on a warm run these are the
     // snapshot's embedded store, byte-identical to the cold run's output.

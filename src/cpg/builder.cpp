@@ -9,7 +9,6 @@
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace tabby::cpg {
 
@@ -26,7 +25,6 @@ class Builder {
 
   Cpg run() {
     obs::Span span("cpg.build");
-    util::Stopwatch watch;
     {
       TABBY_SPAN("cpg.org");
       build_org();
@@ -53,7 +51,6 @@ class Builder {
 
     Cpg result;
     collect_stats();
-    stats_.build_seconds = watch.elapsed_seconds();
     result.stats = stats_;
     result.deadline_hit = deadline_hit_;
     result.methods_skipped = methods_skipped_;

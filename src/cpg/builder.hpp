@@ -72,7 +72,6 @@ struct CpgStats {
   std::size_t pruned_call_sites = 0;
   std::size_t source_methods = 0;
   std::size_t sink_methods = 0;
-  double build_seconds = 0.0;
 };
 
 struct Cpg {

@@ -1,7 +1,5 @@
 #include "jir/printer.hpp"
 
-#include "util/digest.hpp"
-
 namespace tabby::jir {
 
 namespace {
@@ -68,8 +66,6 @@ std::string to_text(const ClassDecl& cls) {
   out += "}\n";
   return out;
 }
-
-std::uint64_t stable_fingerprint(const ClassDecl& cls) { return util::digest_bytes(to_text(cls)); }
 
 std::string to_text(const Program& program) {
   std::string out;

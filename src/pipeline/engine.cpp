@@ -243,7 +243,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   options.cancel = ctx.cancel;
   options.memory = budget_.get();
 
-  auto outcome = run(jar_paths, options);
+  auto outcome = run(jar_paths, options, keyed);
   if (!outcome.ok()) return outcome.error();
 
   auto analysis = std::shared_ptr<Analysis>(new Analysis());

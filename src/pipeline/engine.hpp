@@ -270,7 +270,8 @@ class Engine {
   /// Opens (or returns the resident) analysis for a classpath of .tjar
   /// files. A resident hit touches the LRU and costs no I/O beyond the
   /// digest reads that key the lookup. A miss runs the full cache-aware
-  /// pipeline (pipeline::run) on the engine's pool, then admits the result:
+  /// pipeline (pipeline::run, handed the same key, so an open digests the
+  /// classpath once) on the engine's pool, then admits the result:
   /// under a bounded budget, idle LRU analyses are evicted to make room and
   /// an analysis that still cannot fit fails with an over-capacity error.
   util::Result<AnalysisPtr> open(const std::vector<std::string>& jar_paths,

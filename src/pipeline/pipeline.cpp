@@ -10,7 +10,6 @@
 #include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
-#include "util/fs.hpp"
 
 namespace tabby::pipeline {
 
@@ -56,14 +55,14 @@ void freeze_outcome(const Options& options, std::uint64_t content_key, Outcome& 
 
 /// Cold back half shared by both run() overloads: build the CPG and, when
 /// asked, the store bytes.
-util::Status build_into(const jir::Program& program, const Options& options,
-                        cpg::CpgOptions cpg_options, Outcome& outcome) {
+util::Status build_into(const jir::Program& program, FailurePolicy policy,
+                        const cpg::CpgOptions& cpg_options, bool with_bytes, Outcome& outcome) {
   cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
-  util::Status cut = absorb_build_cut(cpg, options.policy, outcome);
+  util::Status cut = absorb_build_cut(cpg, policy, outcome);
   if (!cut.ok()) return cut;
   outcome.db = std::move(cpg.db);
   outcome.stats = cpg.stats;
-  if (options.need_graph_bytes) {
+  if (with_bytes) {
     TABBY_SPAN("graph.serialize");
     outcome.graph_bytes = graph::serialize(outcome.db);
   }
@@ -89,6 +88,8 @@ std::uint64_t jdk_digest() {
 
 ClasspathKey classpath_key(const std::vector<std::string>& jar_paths, bool with_jdk,
                            std::uint64_t options_fp) {
+  obs::Span span("cache.digest");
+  span.attr("archives", static_cast<std::uint64_t>(jar_paths.size()));
   ClasspathKey out;
   std::vector<std::uint64_t> digests;
   digests.reserve(jar_paths.size() + 1);
@@ -108,7 +109,19 @@ ClasspathKey classpath_key(const std::vector<std::string>& jar_paths, bool with_
 
 namespace {
 
-util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const Options& options) {
+/// Publishes a freshly frozen frame next to its snapshot; a failed publish
+/// is a warning, never a run failure.
+void publish_frozen(cache::AnalysisCache& cache, std::uint64_t key, Outcome& outcome) {
+  if (!outcome.frozen.has_value()) return;
+  auto stored = cache.store_frozen(key, *outcome.frozen);
+  if (!stored.ok()) {
+    outcome.warnings.push_back(stored.error().to_string() +
+                               " (continuing without frozen snapshot)");
+  }
+}
+
+util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const Options& options,
+                               const ClasspathKey& keyed) {
   obs::Span span("pipeline.run");
   span.attr("archives", static_cast<std::uint64_t>(jar_paths.size()));
 
@@ -126,21 +139,39 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   if (cpg_options.memory == nullptr) cpg_options.memory = options.memory;
   Outcome outcome;
 
-  if (options.cache_dir.empty()) {
-    auto program = load_program(jar_paths, options.with_jdk, options.executor, options.policy,
-                                &outcome.degradation, load_deadline);
-    if (!program.ok()) return program.error();
+  // Cold front half, the same with or without a cache: parallel decode and
+  // link, then (unless the deadline already expired) the CPG build. Both
+  // paths therefore degrade on exactly the same inputs.
+  std::optional<jir::Program> program;
+  auto load = [&]() -> util::Status {
+    auto loaded = load_program(jar_paths, options.with_jdk, options.executor, options.policy,
+                               &outcome.degradation, load_deadline);
+    if (!loaded.ok()) return loaded.error();
+    program = std::move(loaded.value());
+    return util::Status::ok_status();
+  };
+  bool built = false;  // false: the deadline expired before the CPG build
+  auto build_cold = [&](bool with_bytes) -> util::Status {
+    util::Status status = load();
+    if (!status.ok()) return status;
     if (run_deadline.expired()) {
       if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
       outcome.degradation.deadline_hit = true;
-      if (options.need_program) outcome.program = std::move(program.value());
-      return outcome;
+      return util::Status::ok_status();
     }
-    util::Status built = build_into(program.value(), options, cpg_options, outcome);
-    if (!built.ok()) return built.error();
-    freeze_outcome(options, /*content_key=*/0, outcome);
-    if (options.need_program) outcome.program = std::move(program.value());
-    return outcome;
+    built = true;
+    return build_into(*program, options.policy, cpg_options, with_bytes, outcome);
+  };
+  auto finish = [&]() {
+    if (options.need_program) outcome.program = std::move(program);
+    return std::move(outcome);
+  };
+
+  if (options.cache_dir.empty()) {
+    util::Status status = build_cold(options.need_graph_bytes);
+    if (!status.ok()) return status.error();
+    if (built) freeze_outcome(options, /*content_key=*/0, outcome);
+    return finish();
   }
 
   // A cache that cannot be opened is an infrastructure fault, not a broken
@@ -151,24 +182,14 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   cache::AnalysisCache& cache = opened.value();
   cache.set_memory(options.memory);
 
-  // Classpath digests in link order: the simulated JDK (when included) is
-  // part of the analyzed world, so its content is part of the key. Under
-  // quarantine an unreadable archive is dropped here (stage "fs-read") so
-  // the snapshot key covers exactly the surviving classpath.
-  ClasspathKey keyed =
-      classpath_key(jar_paths, options.with_jdk, cpg::options_fingerprint(cpg_options));
-  std::optional<util::Error> first_loss;
-  for (const auto& [path, error] : keyed.unreadable) {
+  // An undigestable archive is not in the snapshot key. Strict fails on it;
+  // quarantine looks up the snapshot of the surviving classpath (the key
+  // covers exactly those archives) and records the loss below.
+  if (!keyed.unreadable.empty()) {
+    const auto& [path, error] = keyed.unreadable.front();
     util::Error loss{path + ": " + error.message};
-    if (!quarantine) return loss;
-    outcome.degradation.add(path, "fs-read", error.message);
-    obs::counter_add("pipeline.units_quarantined");
-    if (!first_loss.has_value()) first_loss = std::move(loss);
+    if (!quarantine || keyed.digested.empty()) return loss;
   }
-  if (quarantine && !jar_paths.empty() && keyed.digested.empty()) {
-    return first_loss.value_or(util::Error{"no archive on the classpath survived quarantine"});
-  }
-  const std::vector<std::string>& surviving = keyed.digested;
   const std::uint64_t key = keyed.key;
 
   // Frozen-first warm start: mmap the cached CSR frame when one matches.
@@ -199,145 +220,65 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   }
   std::optional<cache::CachedCpg> snapshot =
       cache.load_snapshot(key, /*need_db=*/!warm_frozen.has_value());
-  if (!snapshot.has_value()) warm_frozen.reset();
-  if (!snapshot.has_value() || options.need_program) {
-    // Load the program through per-archive fragments: unchanged archives
-    // warm-start, only changed ones are re-decoded from the original bytes.
-    // Under quarantine a fragment/decode failure falls back to a fail-soft
-    // re-decode of the raw bytes, so the warm path degrades on exactly the
-    // same inputs the cold path would.
-    std::vector<jar::Archive> classpath;
-    if (options.with_jdk) classpath.push_back(corpus::jdk_base_archive());
-    std::size_t user_loaded = 0;
-    for (const std::string& path : surviving) {
-      if (load_deadline.expired()) {
-        if (!quarantine) return util::Error{"deadline exceeded before loading " + path};
-        outcome.degradation.add(path, "deadline", "deadline exceeded before loading archive");
-        outcome.degradation.deadline_hit = true;
-        continue;
-      }
-      auto loaded = cache.load_archive(path);
-      if (loaded.ok()) {
-        classpath.push_back(std::move(loaded.value().archive));
-        ++user_loaded;
-        continue;
-      }
-      if (!quarantine) return util::Error{path + ": " + loaded.error().message};
-      if (!first_loss.has_value()) first_loss = util::Error{path + ": " + loaded.error().message};
-      auto bytes = util::read_file(path);
-      if (!bytes.ok()) {
-        outcome.degradation.add(path, "fs-read", bytes.error().message);
-        obs::counter_add("pipeline.units_quarantined");
-        continue;
-      }
-      jar::DecodeDegradation degradation;
-      jar::Archive salvaged = jar::read_archive_salvage(bytes.value(), degradation);
-      if (!degradation.error.has_value()) {
-        // The cached fragment failed but the raw bytes decode cleanly (a
-        // transient fault): the archive is recovered intact, nothing to
-        // quarantine.
-        classpath.push_back(std::move(salvaged));
-        ++user_loaded;
-        continue;
-      }
-      if (salvaged.classes.empty()) {
-        outcome.degradation.add(path, "archive-decode",
-                                degradation.error.has_value() ? degradation.error->message
-                                                              : loaded.error().message,
-                                degradation.bytes_skipped);
-        obs::counter_add("pipeline.units_quarantined");
-        continue;
-      }
-      outcome.degradation.add(salvage_unit(path, degradation), "class-decode",
-                              degradation.error->message, degradation.bytes_skipped);
-      obs::counter_add("pipeline.units_quarantined");
-      classpath.push_back(std::move(salvaged));
-      ++user_loaded;
-    }
-    if (quarantine && !jar_paths.empty() && user_loaded == 0 &&
-        !outcome.degradation.deadline_hit && first_loss.has_value()) {
-      // Same rule as the cold path: a classpath that is entirely garbage is
-      // a fatal error, not a quietly empty analysis.
-      return *first_loss;
-    }
-    jir::Program program = jar::link(classpath);
-    if (!snapshot.has_value()) {
-      if (run_deadline.expired()) {
-        if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
-        outcome.degradation.deadline_hit = true;
-        if (options.need_program) outcome.program = std::move(program);
-        outcome.cache_line = cache.stats().to_line();
-        return outcome;
-      }
-      cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
-      util::Status cut = absorb_build_cut(cpg, options.policy, outcome);
-      if (!cut.ok()) return cut.error();
-      outcome.db = std::move(cpg.db);
-      outcome.stats = cpg.stats;
-      {
-        TABBY_SPAN("graph.serialize");
-        outcome.graph_bytes = graph::serialize(outcome.db);
-      }
-      bool snapshot_published = false;
-      if (outcome.degradation.degraded()) {
-        // Never publish a degraded CPG: the snapshot key describes the
-        // on-disk classpath, and a later repaired run with the same bytes
-        // must not warm-start from the holes.
-        outcome.warnings.push_back("snapshot not published (degraded run)");
-      } else {
-        auto stored = cache.store_snapshot(key, outcome.stats, outcome.graph_bytes);
-        if (!stored.ok()) {
-          outcome.warnings.push_back(stored.error().to_string() +
-                                     " (continuing without snapshot)");
-        } else {
-          snapshot_published = true;
-        }
-      }
-      // Freeze after the store publish so the frame is only ever published
-      // next to its intact snapshot (a companion-less .tfzn is an orphan the
-      // warm path would ignore anyway).
-      freeze_outcome(options, key, outcome);
-      if (outcome.frozen.has_value() && snapshot_published) {
-        auto stored_frozen = cache.store_frozen(key, *outcome.frozen);
-        if (!stored_frozen.ok()) {
-          outcome.warnings.push_back(stored_frozen.error().to_string() +
-                                     " (continuing without frozen snapshot)");
-        }
-      }
-    }
-    if (options.need_program) outcome.program = std::move(program);
-  }
-  if (snapshot.has_value()) {
-    outcome.stats = snapshot->stats;
-    outcome.graph_bytes = std::move(snapshot->graph_bytes);
-    outcome.warm = true;
-    if (warm_frozen.has_value()) {
-      // Frozen warm start: the mmapped frame is the graph; the store decode
-      // was skipped (db stays empty) unless load_snapshot decoded anyway.
-      outcome.frozen = std::move(warm_frozen);
-      outcome.db_skipped = !snapshot->db_decoded;
-    }
-    if (snapshot->db_decoded) {
-      outcome.db = std::move(snapshot->db);
-      // Persistence stores data, not index structures; recreate the standard
-      // set so lookups behave exactly as on a freshly built CPG.
-      cpg::create_standard_indexes(outcome.db, options.executor);
-      if (options.use_frozen && !outcome.frozen.has_value()) {
-        // Frozen requested but the frame was absent or corrupt: re-freeze
-        // from the decoded store and republish so the cache self-heals.
-        freeze_outcome(options, key, outcome);
-        if (outcome.frozen.has_value()) {
-          auto stored_frozen = cache.store_frozen(key, *outcome.frozen);
-          if (!stored_frozen.ok()) {
-            outcome.warnings.push_back(stored_frozen.error().to_string() +
-                                       " (continuing without frozen snapshot)");
-          }
-        }
-      }
-    }
-  }
   outcome.cache_line = cache.stats().to_line();
-  return outcome;
+
+  if (!snapshot.has_value()) {
+    util::Status status = build_cold(/*with_bytes=*/true);
+    if (!status.ok()) return status.error();
+    if (!built) return finish();
+    bool snapshot_published = false;
+    if (outcome.degradation.degraded() || !keyed.unreadable.empty()) {
+      // Never publish a degraded CPG: the snapshot key describes the
+      // on-disk classpath, and a later repaired run with the same bytes
+      // must not warm-start from the holes.
+      outcome.warnings.push_back("snapshot not published (degraded run)");
+    } else if (auto stored = cache.store_snapshot(key, outcome.stats, outcome.graph_bytes);
+               !stored.ok()) {
+      outcome.warnings.push_back(stored.error().to_string() + " (continuing without snapshot)");
+    } else {
+      snapshot_published = true;
+    }
+    // Freeze after the store publish so the frame is only ever published
+    // next to its intact snapshot (a companion-less .tfzn is an orphan the
+    // warm path would ignore anyway).
+    freeze_outcome(options, key, outcome);
+    if (snapshot_published) publish_frozen(cache, key, outcome);
+    return finish();
+  }
+
+  if (options.need_program) {
+    // The snapshot has the graph; only the program is loaded (and linked).
+    util::Status status = load();
+    if (!status.ok()) return status.error();
+  } else {
+    // Nothing is read, so the undigestable archives are recorded here.
+    for (const auto& [path, error] : keyed.unreadable) {
+      outcome.degradation.add(path, "fs-read", error.message);
+      obs::counter_add("pipeline.units_quarantined");
+    }
+  }
+  outcome.stats = snapshot->stats;
+  outcome.graph_bytes = std::move(snapshot->graph_bytes);
+  outcome.warm = true;
+  if (warm_frozen.has_value()) {
+    // Frozen warm start: the mmapped frame is the graph; the store decode
+    // was skipped (db stays empty) unless load_snapshot decoded anyway.
+    outcome.frozen = std::move(warm_frozen);
+    outcome.db_skipped = !snapshot->db_decoded;
+  }
+  if (snapshot->db_decoded) {
+    outcome.db = std::move(snapshot->db);
+    // Persistence stores data, not index structures; recreate the standard
+    // set so lookups behave exactly as on a freshly built CPG.
+    cpg::create_standard_indexes(outcome.db, options.executor);
+    if (options.use_frozen && !outcome.frozen.has_value()) {
+      // Frozen requested but the frame was absent or corrupt: re-freeze
+      // from the decoded store and republish so the cache self-heals.
+      freeze_outcome(options, key, outcome);
+      publish_frozen(cache, key, outcome);
+    }
+  }
+  return finish();
 }
 
 }  // namespace
@@ -448,16 +389,24 @@ util::Result<jir::Program> load_program(const std::vector<std::string>& paths, b
   return jar::link(classpath);
 }
 
-util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options) {
+util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options,
+                          const ClasspathKey& keyed) {
   // The fail-soft contract is "structured Result, never a crash": stray
   // exceptions (worker-task faults surfaced by Executor::parallel_for,
   // injected pool.task failpoints) become errors here instead of
   // unwinding through the CLI.
   try {
-    return run_impl(jar_paths, options);
+    return run_impl(jar_paths, options, keyed);
   } catch (const std::exception& e) {
     return util::Error{std::string("pipeline: unhandled exception: ") + e.what()};
   }
+}
+
+util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options) {
+  // Only the snapshot lookup reads the key.
+  if (options.cache_dir.empty()) return run(jar_paths, options, ClasspathKey{});
+  return run(jar_paths, options,
+             classpath_key(jar_paths, options.with_jdk, cpg::options_fingerprint(options.cpg)));
 }
 
 Outcome run(const jir::Program& program, const Options& options) {
@@ -469,9 +418,8 @@ Outcome run(const jir::Program& program, const Options& options) {
   Outcome outcome;
   // This overload cannot return an error, so a deadline cut is always
   // absorbed as degradation regardless of policy.
-  Options absorbing = options;
-  absorbing.policy = FailurePolicy::kQuarantine;
-  (void)build_into(program, absorbing, cpg_options, outcome);
+  (void)build_into(program, FailurePolicy::kQuarantine, cpg_options, options.need_graph_bytes,
+                   outcome);
   if (options.need_program) outcome.program = program;
   freeze_outcome(options, /*content_key=*/0, outcome);
   return outcome;

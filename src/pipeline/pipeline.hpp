@@ -222,17 +222,26 @@ struct ClasspathKey {
 };
 
 /// The one classpath-key computation behind run()'s snapshot lookup and
-/// Engine::open's resident lookup. Unreadable archives are left out of the
-/// key and listed; each caller decides what an unreadable archive means.
+/// Engine::open's resident lookup: one read and digest of every archive
+/// (span "cache.digest"). Unreadable archives are left out of the key and
+/// listed; each caller decides what an unreadable archive means.
 ClasspathKey classpath_key(const std::vector<std::string>& jar_paths, bool with_jdk,
                            std::uint64_t options_fp);
 
 /// The full cache-aware front end shared by analyze/find/query: digest the
 /// classpath, warm-start from a snapshot when one matches, otherwise load
-/// archives (through per-archive cache fragments when caching), link, build
-/// the CPG and publish a new snapshot. Without a cache_dir this is the plain
+/// the archives in parallel (load_program, cache or not), link, build the
+/// CPG and publish a new snapshot. Without a cache_dir this is the plain
 /// cold pipeline.
 util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options);
+
+/// run() with the classpath key already computed, for a caller that needs
+/// it anyway (Engine::open keys its resident set by it), so an open digests
+/// the classpath once. `keyed` must be classpath_key(jar_paths,
+/// options.with_jdk, cpg::options_fingerprint(options.cpg)); only a cache
+/// run reads it.
+util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options,
+                          const ClasspathKey& keyed);
 
 /// In-memory variant: build the CPG for an already-linked program (no
 /// archives, no cache). The path examples and embedding libraries use.

@@ -1,20 +1,26 @@
-// Tests for the cache self-repair satellite: cache::audit_cache and the
-// `tabby cache` subcommand. A bit-flipped fragment or snapshot must be
-// detected against its digest, reported with reclaimable bytes, prunable,
-// and — the payoff — the next analysis run rebuilds ONLY the pruned entry,
-// warm-starting everything else from the surviving fragments.
+// Tests for cache self-repair: cache::audit_cache and the `tabby cache`
+// subcommand. A bit-flipped snapshot or verdict must be detected against its
+// checksum, reported with reclaimable bytes, prunable, and — the payoff —
+// the next analysis run rebuilds ONLY the pruned entry, warm-starting every
+// other classpath from its surviving snapshot. Also covers the atomic
+// publish under concurrent writers and the upgrade of an older cache
+// directory (leftover per-archive fragments, an older snapshot version).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cli/cli.hpp"
 #include "corpus/components.hpp"
 #include "jar/archive.hpp"
+#include "obs/obs.hpp"
 #include "util/digest.hpp"
 
 namespace tabby {
@@ -47,6 +53,13 @@ void flip_byte(const fs::path& path, std::size_t offset) {
   file.put(static_cast<char>(byte ^ 0x5a));
 }
 
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 std::vector<fs::path> files_in(const fs::path& dir) {
   std::vector<fs::path> files;
   if (!fs::exists(dir)) return files;
@@ -64,27 +77,25 @@ class CacheAuditFixture : public ::testing::Test {
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("BeanShell1").jar, jar1_).ok());
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("Rome").jar, jar2_).ok());
     cache_ = (dir_ / "cache").string();
-    // Warm the cache: two fragments and one whole-classpath snapshot.
+    // Warm the cache: one whole-classpath snapshot.
     CliRun cold = run({"analyze", jar1_, jar2_, "--cache", cache_});
     ASSERT_EQ(cold.code, 0) << cold.err;
-    fragments_ = files_in(fs::path(cache_) / "fragments");
     snapshots_ = files_in(fs::path(cache_) / "snapshots");
-    ASSERT_EQ(fragments_.size(), 2u);
     ASSERT_EQ(snapshots_.size(), 1u);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
   fs::path dir_;
   std::string jar1_, jar2_, cache_;
-  std::vector<fs::path> fragments_, snapshots_;
+  std::vector<fs::path> snapshots_;
 };
 
 TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
   auto report = cache::audit_cache(cache_, /*prune=*/false);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_TRUE(report.value().clean());
-  EXPECT_EQ(report.value().fragments_checked, 2u);
   EXPECT_EQ(report.value().snapshots_checked, 1u);
+  EXPECT_EQ(report.value().entries.size(), 1u);
   EXPECT_EQ(report.value().reclaimable_bytes, 0u);
 
   CliRun cli = run({"cache", cache_});
@@ -99,15 +110,15 @@ TEST_F(CacheAuditFixture, MissingDirectoryIsAnError) {
 }
 
 TEST_F(CacheAuditFixture, BitFlipIsDetectedWithReclaimableBytes) {
-  flip_byte(fragments_[0], fs::file_size(fragments_[0]) / 2);
+  flip_byte(snapshots_[0], fs::file_size(snapshots_[0]) / 2);
   auto report = cache::audit_cache(cache_, /*prune=*/false);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_FALSE(report.value().clean());
   EXPECT_EQ(report.value().corrupt, 1u);
-  EXPECT_EQ(report.value().reclaimable_bytes, fs::file_size(fragments_[0]));
+  EXPECT_EQ(report.value().reclaimable_bytes, fs::file_size(snapshots_[0]));
   // Audit without --prune is read-only.
   EXPECT_EQ(report.value().reclaimed_bytes, 0u);
-  EXPECT_TRUE(fs::exists(fragments_[0]));
+  EXPECT_TRUE(fs::exists(snapshots_[0]));
 
   CliRun cli = run({"cache", cache_});
   EXPECT_EQ(cli.code, 3);
@@ -116,7 +127,7 @@ TEST_F(CacheAuditFixture, BitFlipIsDetectedWithReclaimableBytes) {
 }
 
 TEST_F(CacheAuditFixture, OrphanedTempFilesAreFlagged) {
-  std::ofstream(fs::path(cache_) / "fragments" / "orphan.tmp") << "leftover";
+  std::ofstream(fs::path(cache_) / "verdicts" / "orphan.tmp") << "leftover";
   std::ofstream(fs::path(cache_) / "snapshots" / "junk.bin") << "noise";
   auto report = cache::audit_cache(cache_, false);
   ASSERT_TRUE(report.ok()) << report.error().message;
@@ -124,33 +135,140 @@ TEST_F(CacheAuditFixture, OrphanedTempFilesAreFlagged) {
   EXPECT_EQ(report.value().corrupt, 0u);
 }
 
-TEST_F(CacheAuditFixture, PruneHealsAndOnlyThePrunedFragmentRebuilds) {
-  // Corrupt one fragment AND the snapshot: with the snapshot intact a warm
-  // run never touches fragments, so rebuilding-only-the-pruned-one needs
-  // the snapshot out of the way too.
-  flip_byte(fragments_[0], fs::file_size(fragments_[0]) / 2);
+TEST_F(CacheAuditFixture, PruneHealsAndOnlyThePrunedSnapshotRebuilds) {
+  // A second classpath gets its own snapshot; corrupt only the first.
+  CliRun other = run({"analyze", jar1_, "--cache", cache_});
+  ASSERT_EQ(other.code, 0) << other.err;
+  std::vector<fs::path> both = files_in(fs::path(cache_) / "snapshots");
+  ASSERT_EQ(both.size(), 2u);
+  const fs::path intact = both[0] == snapshots_[0] ? both[1] : both[0];
+  const std::string intact_bytes = read_bytes(intact);
   flip_byte(snapshots_[0], fs::file_size(snapshots_[0]) - 8);
 
   CliRun pruned = run({"cache", cache_, "--prune"});
   EXPECT_EQ(pruned.code, 0) << pruned.out;  // healed store = success
   EXPECT_NE(pruned.out.find("[pruned]"), std::string::npos) << pruned.out;
   EXPECT_NE(pruned.out.find("reclaimed"), std::string::npos) << pruned.out;
-  EXPECT_FALSE(fs::exists(fragments_[0]));
   EXPECT_FALSE(fs::exists(snapshots_[0]));
-  EXPECT_TRUE(fs::exists(fragments_[1])) << "prune touched an intact entry";
+  EXPECT_EQ(read_bytes(intact), intact_bytes) << "prune touched an intact entry";
 
-  // The next run self-heals: the surviving fragment warm-starts, only the
-  // pruned one is recomputed, and the snapshot republishes.
+  // The next runs self-heal: only the pruned classpath is recomputed (and
+  // republished byte for byte); the other still warm-starts.
   CliRun rebuilt = run({"analyze", jar1_, jar2_, "--cache", cache_});
   EXPECT_EQ(rebuilt.code, 0) << rebuilt.err;
   EXPECT_NE(rebuilt.out.find("snapshot miss"), std::string::npos) << rebuilt.out;
-  EXPECT_NE(rebuilt.out.find("fragments 1/2 hit"), std::string::npos) << rebuilt.out;
+  CliRun warm = run({"analyze", jar1_, "--cache", cache_});
+  EXPECT_EQ(warm.code, 0) << warm.err;
+  EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
 
   auto report = cache::audit_cache(cache_, false);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().clean()) << report.value().to_string();
-  EXPECT_EQ(report.value().fragments_checked, 2u);
-  EXPECT_EQ(report.value().snapshots_checked, 1u);
+  EXPECT_EQ(report.value().snapshots_checked, 2u);
+}
+
+// A cache directory from before the fragment layer was removed: its
+// fragments/ files are never read, the audit reports each as an orphan, and
+// --prune reclaims them (and the emptied directory).
+TEST_F(CacheAuditFixture, LeftoverFragmentsAreOrphansThatPruneReclaims) {
+  fs::path fragments = fs::path(cache_) / "fragments";
+  fs::create_directories(fragments);
+  std::ofstream(fragments / "0123456789abcdef.tfrag") << "an old per-archive fragment";
+  std::ofstream(fragments / "0123456789abcdef.tfrag.tmp") << "half";
+
+  CliRun warm = run({"analyze", jar1_, jar2_, "--cache", cache_});
+  EXPECT_EQ(warm.code, 0) << warm.err;
+  EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
+
+  auto report = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report.value().orphaned, 2u);
+  EXPECT_EQ(report.value().corrupt, 0u);
+  EXPECT_NE(report.value().to_string().find("fragment from an older build"), std::string::npos)
+      << report.value().to_string();
+
+  CliRun pruned = run({"cache", cache_, "--prune"});
+  EXPECT_EQ(pruned.code, 0) << pruned.out;
+  EXPECT_FALSE(fs::exists(fragments));
+  auto healed = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_TRUE(healed.value().clean()) << healed.value().to_string();
+}
+
+// A snapshot from before version 3 (its stats block still carried the build
+// time) is a clean version miss: no warning, and the republished entry is
+// the current format.
+TEST_F(CacheAuditFixture, OlderSnapshotVersionIsACleanMiss) {
+  const std::string current = read_bytes(snapshots_[0]);
+  {
+    std::fstream file(snapshots_[0], std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint16_t older = cache::kSnapshotVersion - 1;
+    char bytes[sizeof older];
+    std::memcpy(bytes, &older, sizeof older);
+    file.seekp(4);
+    file.write(bytes, sizeof bytes);
+  }
+  CliRun rerun = run({"analyze", jar1_, jar2_, "--cache", cache_});
+  EXPECT_EQ(rerun.code, 0) << rerun.err;
+  EXPECT_NE(rerun.out.find("snapshot miss"), std::string::npos) << rerun.out;
+  EXPECT_EQ(rerun.err.find("warning:"), std::string::npos) << rerun.err;
+  EXPECT_EQ(read_bytes(snapshots_[0]), current);
+}
+
+// Writers publishing the same entry at once (a daemon and a CLI sharing one
+// --cache directory) each write their own temp file, so every publish
+// lands on its first attempt and a reader sees one writer's whole entry —
+// never a torn mix (which the checksum would turn into a miss) and never a
+// rename that lost its temp file to the other writer.
+TEST_F(CacheAuditFixture, ConcurrentSameKeyVerdictPublishesNeverTear) {
+  constexpr std::uint64_t kKey = 0x5eed;
+  auto verdict_for = [](int writer) {
+    cache::CachedVerdict v;
+    v.verdict = static_cast<std::uint8_t>(writer);
+    v.steps = 1000 + static_cast<std::uint64_t>(writer);
+    v.detail = std::string((64 << 10) * (1 + writer), static_cast<char>('a' + writer));
+    return v;
+  };
+  std::atomic<int> failed{0}, missed{0}, torn{0};
+  auto writer = [&](int id) {
+    auto opened = cache::AnalysisCache::open(cache_);
+    if (!opened.ok()) {
+      ++failed;
+      return;
+    }
+    const cache::CachedVerdict mine = verdict_for(id);
+    for (int i = 0; i < 300; ++i) {
+      if (!opened.value().store_verdict(kKey, mine).ok()) ++failed;
+      auto loaded = opened.value().load_verdict(kKey);
+      if (!loaded.has_value()) {
+        ++missed;
+        continue;
+      }
+      bool whole = false;
+      for (int w : {0, 1}) {
+        const cache::CachedVerdict want = verdict_for(w);
+        whole |= loaded->verdict == want.verdict && loaded->steps == want.steps &&
+                 loaded->detail == want.detail;
+      }
+      if (!whole) ++torn;
+    }
+  };
+  obs::Tracer::instance().enable();
+  // Four threads, two per verdict: with one shared temp name this loses
+  // renames (retries, failed publishes) and serves torn entries (misses).
+  std::vector<std::thread> writers;
+  for (int id : {0, 1, 0, 1}) writers.emplace_back(writer, id);
+  for (std::thread& t : writers) t.join();
+  obs::TraceReport report = obs::Tracer::instance().flush();
+  obs::Tracer::instance().disable();
+  EXPECT_EQ(report.counter("cache.publish_retries"), 0u);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(missed.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  // Every temp file was renamed or removed: the audit finds no leftovers.
+  auto audit = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(audit.ok());
+  EXPECT_TRUE(audit.value().clean()) << audit.value().to_string();
 }
 
 TEST_F(CacheAuditFixture, VerdictFramesRoundTripAndRejectKeyMismatches) {

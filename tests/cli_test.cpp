@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "cli/cli.hpp"
@@ -185,12 +186,25 @@ TEST_F(CliFixture, CacheStatsLineReportsMissThenHit) {
 
   CliRun cold = run({"analyze", path("BeanShell1.tjar"), "--cache", path("cache")});
   ASSERT_EQ(cold.code, 0) << cold.err;
-  EXPECT_NE(cold.out.find("cache: snapshot miss"), std::string::npos) << cold.out;
-  EXPECT_NE(cold.out.find("fragments 0/1 hit"), std::string::npos) << cold.out;
+  const std::string cold_line = cold.out.substr(0, cold.out.find('\n'));
+  EXPECT_EQ(cold_line.rfind("cache: snapshot miss (key ", 0), 0u) << cold.out;
+  // The cold run published one whole-classpath snapshot and nothing per
+  // archive.
+  std::vector<std::string> published;
+  for (const auto& entry : fs::recursive_directory_iterator(path("cache"))) {
+    if (entry.is_regular_file()) published.push_back(entry.path().filename().string());
+  }
+  ASSERT_EQ(published.size(), 1u);
+  EXPECT_EQ(fs::path(published[0]).extension(), ".tsnp");
+  EXPECT_FALSE(fs::exists(path("cache") + "/fragments"));
 
   CliRun warm = run({"analyze", path("BeanShell1.tjar"), "--cache", path("cache")});
   ASSERT_EQ(warm.code, 0) << warm.err;
-  EXPECT_NE(warm.out.find("cache: snapshot hit"), std::string::npos) << warm.out;
+  const std::string warm_line = warm.out.substr(0, warm.out.find('\n'));
+  // Same key, now a hit; the line carries nothing else.
+  std::string expected_warm = cold_line;
+  expected_warm.replace(expected_warm.find("miss"), 4, "hit");
+  EXPECT_EQ(warm_line, expected_warm) << warm.out;
   // Warm stats are the cold run's stats, byte for byte.
   EXPECT_EQ(cold.out.substr(cold.out.find("classes:")), warm.out.substr(warm.out.find("classes:")));
 }
@@ -308,6 +322,33 @@ TEST_F(CliFixture, TraceFileIsWellFormedChromeJsonWithNestedSpans) {
   }
 }
 
+// Cold runs at any --jobs publish byte-identical cache entries (snapshot,
+// frozen frame and verdicts): no entry carries a clock or a schedule.
+TEST_F(CliFixture, ColdCacheDirectoriesAreIdenticalAcrossJobCounts) {
+  CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  auto tree = [](const fs::path& root) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::recursive_directory_iterator(root)) {
+      if (!entry.is_regular_file()) continue;
+      files[fs::relative(entry.path(), root).generic_string()] = slurp_file(entry.path());
+    }
+    return files;
+  };
+  CliRun serial = run({"find", path("BeanShell1.tjar"), "--verify", "--cache", path("c1"),
+                       "--jobs", "1"});
+  CliRun parallel = run({"find", path("BeanShell1.tjar"), "--verify", "--cache", path("c4"),
+                         "--jobs", "4"});
+  ASSERT_EQ(serial.code, 0) << serial.err;
+  ASSERT_EQ(parallel.code, 0) << parallel.err;
+  EXPECT_EQ(serial.out, parallel.out);
+  auto serial_tree = tree(path("c1"));
+  std::set<std::string> kinds;
+  for (const auto& [name, bytes] : serial_tree) kinds.insert(fs::path(name).extension().string());
+  EXPECT_EQ(kinds, (std::set<std::string>{".tfzn", ".tsnp", ".tvdt"}));
+  EXPECT_TRUE(serial_tree == tree(path("c4"))) << "cold caches differ across --jobs";
+}
+
 TEST_F(CliFixture, TracingAndMetricsDoNotPerturbOutputs) {
   CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
   ASSERT_EQ(gen.code, 0) << gen.err;
@@ -319,13 +360,12 @@ TEST_F(CliFixture, TracingAndMetricsDoNotPerturbOutputs) {
   ASSERT_EQ(traced.code, 0) << traced.err;
 
   // stdout and the persistent store are byte-identical; the only differences
-  // are the metrics summary on stderr, the trace file on disk, the wall-clock
-  // "build:" line, and the store filename the test itself varies.
+  // are the metrics summary on stderr, the trace file on disk, and the store
+  // filename the test itself varies.
   auto stable_lines = [](const std::string& text) {
     std::istringstream in(text);
     std::string out, line;
     while (std::getline(in, line)) {
-      if (line.rfind("build:", 0) == 0) continue;
       if (line.rfind("graph store written to", 0) == 0) continue;
       out += line + "\n";
     }

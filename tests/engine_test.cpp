@@ -17,6 +17,7 @@
 #include "cli/cli.hpp"
 #include "corpus/components.hpp"
 #include "jar/archive.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/engine.hpp"
 
 namespace tabby {
@@ -354,6 +355,29 @@ TEST_F(EngineFixture, CacheDirectoryGivesWarmSecondEngine) {
   auto analysis = warm.open({jar_a_}, ctx);
   ASSERT_TRUE(analysis.ok());
   EXPECT_TRUE(analysis.value()->outcome().warm);
+}
+
+// An open reads and digests every archive once: Engine::open keys its
+// resident set by the classpath key and hands that key to the pipeline,
+// whose snapshot lookup uses the same one. Cold and warm alike.
+TEST_F(EngineFixture, OpenDigestsTheClasspathOncePerOpen) {
+  pipeline::ExecContext ctx;
+  pipeline::EngineOptions options;
+  options.cache_dir = (dir_ / "cache").string();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  for (bool expect_warm : {false, true}) {
+    pipeline::Engine engine(options);
+    tracer.enable();
+    auto analysis = engine.open({jar_a_, jar_b_}, ctx);
+    obs::TraceReport report = tracer.flush();
+    tracer.disable();
+    ASSERT_TRUE(analysis.ok()) << analysis.error().to_string();
+    EXPECT_EQ(analysis.value()->outcome().warm, expect_warm);
+    EXPECT_EQ(report.counter("cache.archives_digested"), 2u);
+    std::size_t passes = 0;
+    for (const obs::SpanRecord& span : report.spans) passes += span.name == "cache.digest";
+    EXPECT_EQ(passes, 1u);
+  }
 }
 
 }  // namespace

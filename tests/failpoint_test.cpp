@@ -88,7 +88,7 @@ TEST_F(FailpointFixture, CatalogListsTheCompiledInSites) {
   std::vector<std::string> sites = failpoint::catalog();
   EXPECT_GE(sites.size(), 10u);
   EXPECT_TRUE(std::is_sorted(sites.begin(), sites.end()));
-  for (const char* expected : {"cache.fragment.publish", "cache.publish.rename",
+  for (const char* expected : {"cache.publish.rename",
                                "cache.snapshot.publish", "dist.dispatch", "dist.worker.crash",
                                "dist.worker.hang", "fs.read", "graph.deserialize", "jar.decode",
                                "pool.task"}) {

@@ -495,8 +495,8 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   EXPECT_EQ(before, after);  // byte-identical republish
 }
 
-// A cache directory written by the FNV-1a-era build (fragment, snapshot
-// and verdict entries v1, frozen frame v1, each signed with FNV-1a64) must
+// A cache directory written by the FNV-1a-era build (snapshot and verdict
+// entries v1, frozen frame v1, each signed with FNV-1a64) must
 // be a clean version miss that republishes current entries: same chains and
 // verdicts, and never a checksum or corruption diagnostic.
 TEST_F(FrozenCacheFixture, OldFormatCacheMissesAndRepublishes) {
@@ -516,8 +516,7 @@ TEST_F(FrozenCacheFixture, OldFormatCacheMissesAndRepublishes) {
     std::uint16_t version;
     bool whole_file_checksum;
   };
-  const Legacy formats[] = {{".tfrag", 1, true},
-                            {".tsnp", 1, false},
+  const Legacy formats[] = {{".tsnp", 1, false},
                             {".tvdt", 1, true},
                             {".tfzn", 1, true}};
   std::map<std::string, std::vector<char>> current;
@@ -540,7 +539,7 @@ TEST_F(FrozenCacheFixture, OldFormatCacheMissesAndRepublishes) {
   }
   std::set<std::string> kinds;
   for (const auto& [path, bytes] : current) kinds.insert(fs::path(path).extension().string());
-  EXPECT_EQ(kinds, (std::set<std::string>{".tfrag", ".tfzn", ".tsnp", ".tvdt"}));
+  EXPECT_EQ(kinds, (std::set<std::string>{".tfzn", ".tsnp", ".tvdt"}));
 
   CliRun upgraded = run({"find", jar_, "--cache", cache_dir_, "--verify", "--metrics"});
   ASSERT_EQ(upgraded.code, 0) << upgraded.err;
@@ -551,17 +550,12 @@ TEST_F(FrozenCacheFixture, OldFormatCacheMissesAndRepublishes) {
   EXPECT_NE(upgraded.err.find("metrics: counter cache.verdict_misses"), std::string::npos)
       << upgraded.err;
 
-  // Republished: every entry is back in the current format, and the
-  // deterministic ones byte-identical to the first publish (the snapshot
-  // embeds the build's wall time, so only its version is compared).
+  // Republished: every entry is back in the current format, byte-identical
+  // to the first publish (no entry carries a clock).
   for (const auto& [path, bytes] : current) {
     std::vector<char> now(fs::file_size(path));
     std::ifstream(path, std::ios::binary).read(now.data(), now.size());
-    ASSERT_GE(now.size(), 6u) << path;
-    EXPECT_EQ(std::memcmp(now.data() + 4, bytes.data() + 4, 2), 0) << path;
-    if (fs::path(path).extension() != ".tsnp") {
-      EXPECT_EQ(now, bytes) << path;
-    }
+    EXPECT_EQ(now, bytes) << path;
   }
   CliRun warm = run({"find", jar_, "--cache", cache_dir_, "--verify"});
   ASSERT_EQ(warm.code, 0) << warm.err;

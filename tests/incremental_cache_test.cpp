@@ -4,17 +4,19 @@
 //
 //   cold                  fresh cache directory, everything recomputed
 //   warm                  same cache, nothing changed: snapshot hit
-//   warm-after-mutation   one archive mutated: snapshot miss, unchanged
-//                         archives warm-start from fragments
+//   warm-after-mutation   one archive mutated: a new key, snapshot miss,
+//                         the classpath is decoded and built again
 //
 // — asserting byte-identical `--store` exports and identical `find` chain
 // lists across all three paths, across `--jobs` counts, and against the
-// cache-less pipeline. This is the proof obligation that makes the cache a
-// pure accelerator: it may never change a single output byte.
+// cache-less pipeline, and that cold runs at any `--jobs` leave
+// byte-identical cache directories. This is the proof obligation that makes
+// the cache a pure accelerator: it may never change a single output byte.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -44,13 +46,13 @@ CliRun run(std::vector<std::string> args) {
 }
 
 /// Drops the lines that legitimately differ between cold and warm runs: the
-/// cache stats line and the build-time line. Everything else must match.
+/// cache stats line (and the store file name the test varies). Everything
+/// else must match.
 std::string filter_volatile(const std::string& text) {
   std::istringstream in(text);
   std::string line, out;
   while (std::getline(in, line)) {
     if (line.rfind("cache:", 0) == 0) continue;
-    if (line.rfind("build:", 0) == 0) continue;
     if (line.rfind("graph store written to", 0) == 0) continue;  // file names differ
     out += line;
     out += '\n';
@@ -63,6 +65,23 @@ std::string read_file(const fs::path& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Every file under a cache directory, by relative path, with its bytes.
+std::map<std::string, std::string> cache_tree(const fs::path& dir) {
+  std::map<std::string, std::string> tree;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      tree[fs::relative(entry.path(), dir).generic_string()] = read_file(entry.path());
+    }
+  }
+  return tree;
+}
+
+/// The key of a run's "cache: snapshot hit|miss (key K)" line.
+std::string cache_key(const std::string& out) {
+  std::size_t at = out.find("(key ");
+  return at == std::string::npos ? std::string() : out.substr(at + 5, 16);
 }
 
 /// One classpath under test: the generated .tjar files plus whether the
@@ -152,15 +171,22 @@ TEST_P(IncrementalCache, ColdWarmAndMutationAreDifferentiallyIdentical) {
   Target target = generate();
   ASSERT_FALSE(target.jars.empty());
 
-  // --- cold: fresh cache, snapshot miss, all fragments miss ---------------
+  // --- cold: fresh cache, snapshot miss ----------------------------------
   CliRun cold = run(with_flags("analyze", target,
                                {"--cache", path("cache"), "--store", path("cold.tgdb"),
                                 "--jobs", "1"}));
   ASSERT_EQ(cold.code, 0) << cold.err;
-  EXPECT_NE(cold.out.find("snapshot miss"), std::string::npos) << cold.out;
-  EXPECT_NE(cold.out.find("fragments 0/" + std::to_string(target.jars.size()) + " hit"),
-            std::string::npos)
-      << cold.out;
+  const std::string key = cache_key(cold.out);
+  EXPECT_EQ(cold.out.rfind("cache: snapshot miss (key " + key + ")\n", 0), 0u) << cold.out;
+  // The cold run publishes exactly the one snapshot, and a cold run at
+  // another job count publishes the same bytes: the cache holds no clock.
+  std::map<std::string, std::string> cold_tree = cache_tree(path("cache"));
+  ASSERT_EQ(cold_tree.size(), 1u);
+  EXPECT_EQ(cold_tree.begin()->first, "snapshots/" + key + ".tsnp");
+  CliRun cold_j4 = run(with_flags("analyze", target, {"--cache", path("cache_j4"), "--jobs", "4"}));
+  ASSERT_EQ(cold_j4.code, 0) << cold_j4.err;
+  EXPECT_TRUE(cold_tree == cache_tree(path("cache_j4")))
+      << "cold caches differ between --jobs 1 and --jobs 4";
 
   // Reference runs without any cache, at two job counts.
   CliRun plain = run(with_flags("analyze", target, {"--store", path("plain.tgdb")}));
@@ -200,14 +226,12 @@ TEST_P(IncrementalCache, ColdWarmAndMutationAreDifferentiallyIdentical) {
   EXPECT_NE(mutated.out.find("snapshot miss"), std::string::npos)
       << "stale snapshot served for a mutated classpath:\n"
       << mutated.out;
-  if (target.jars.size() > 1) {
-    // Only the mutated archive re-decodes; its unchanged neighbours
-    // warm-start from fragments.
-    EXPECT_NE(mutated.out.find("fragments " + std::to_string(target.jars.size() - 1) + "/" +
-                               std::to_string(target.jars.size()) + " hit"),
-              std::string::npos)
-        << mutated.out;
-  }
+  // The mutation changed the key; the old snapshot stays (structural
+  // invalidation never rewrites an entry) and the new one is published.
+  const std::string mutated_key = cache_key(mutated.out);
+  EXPECT_NE(mutated_key, key);
+  EXPECT_TRUE(fs::exists(path("cache") + "/snapshots/" + key + ".tsnp"));
+  EXPECT_TRUE(fs::exists(path("cache") + "/snapshots/" + mutated_key + ".tsnp"));
   if (dropped_class) {
     EXPECT_NE(read_file(path("mut_warm.tgdb")), read_file(path("cold.tgdb")))
         << "dropping a class did not change the exported CPG";

@@ -192,5 +192,38 @@ TEST_F(MalformedCorpusFixture, QuarantinedChainsAreASubsetOfCleanChains) {
   }
 }
 
+// The cache changes nothing about quarantine: a classpath with a bit-flipped
+// and a truncated member degrades to the same lines, the same exit code and
+// the same chains with --cache as without it (cold, and again after, since a
+// degraded run never publishes a snapshot).
+TEST_F(MalformedCorpusFixture, CacheReportsTheSameDegradationAsNoCache) {
+  std::string flipped = write("flipped.tjar", bit_flipped_broken());
+  std::string cut = write("cut.tjar", truncated(clean_bytes_.size() / 2));
+  std::string cache = (dir_ / "cache").string();
+  auto degraded_lines = [](const std::string& err) {
+    std::istringstream lines(err);
+    std::string line, out;
+    while (std::getline(lines, line)) {
+      if (line.rfind("degraded:", 0) == 0) out += line + "\n";
+    }
+    return out;
+  };
+  auto without_cache_line = [](const std::string& out) {
+    return out.rfind("cache:", 0) == 0 ? out.substr(out.find('\n') + 1) : out;
+  };
+
+  CliRun plain = run_cli_capture({"find", flipped, clean_path_, cut, "--jobs", "2"});
+  ASSERT_EQ(plain.code, 3) << plain.err;
+  ASSERT_FALSE(degraded_lines(plain.err).empty());
+  for (int pass = 0; pass < 2; ++pass) {
+    CliRun cached =
+        run_cli_capture({"find", flipped, clean_path_, cut, "--jobs", "2", "--cache", cache});
+    EXPECT_EQ(cached.code, plain.code) << cached.err;
+    EXPECT_NE(cached.out.find("snapshot miss"), std::string::npos) << cached.out;
+    EXPECT_EQ(degraded_lines(cached.err), degraded_lines(plain.err));
+    EXPECT_EQ(without_cache_line(cached.out), plain.out);
+  }
+}
+
 }  // namespace
 }  // namespace tabby

@@ -199,8 +199,8 @@ TEST(DigestProperty, StableAcrossOrderingsAndJobCounts) {
 /// *always* changes the digest. Checked exhaustively: every offset of an
 /// archive, every length 0..130 (empty, tail only, exactly one 32-byte
 /// block, blocks plus tail) with several bit patterns per byte, and every
-/// offset of a 1 MiB buffer. A stale fragment or snapshot can therefore
-/// never be served for a .tjar that was mutated in place.
+/// offset of a 1 MiB buffer. A stale snapshot can therefore never be served
+/// for a .tjar that was mutated in place.
 TEST(DigestProperty, AnySingleByteMutationChangesTheDigest) {
   auto expect_every_byte_matters = [](std::vector<std::byte> bytes,
                                       std::initializer_list<std::uint8_t> flips) {
