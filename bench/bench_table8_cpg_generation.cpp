@@ -251,9 +251,7 @@ int main() {
     const std::vector<std::string>& classpath = jar_paths;
 
     auto one_shot_request = [&] {
-      pipeline::Options options;
-      options.use_frozen = true;
-      auto outcome = pipeline::run(classpath, options);
+      auto outcome = pipeline::run(classpath, pipeline::Options{});
       graph::FrozenGraph& frame = outcome.value().frozen.value();
       return finder::GadgetChainFinder(frame).find_all().chains.size();
     };

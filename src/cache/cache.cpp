@@ -296,7 +296,6 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
     if (!blob_sum.ok() || blob_sum.value() != util::digest_bytes(blob.first(blob.size() - 8))) {
       return std::nullopt;
     }
-    cached.db_decoded = false;
   }
   stats_.snapshot_hit = true;
   outcome.hit = true;

@@ -14,17 +14,14 @@
 //                              matters — the linker's first-wins rule).
 //   snapshots/<key>.tfzn       frozen CSR companion: a raw graph::FrozenGraph
 //                              frame (see docs/GRAPH.md) whose embedded
-//                              content key is the snapshot key. Purely an
-//                              accelerator for the sibling .tsnp — a warm
-//                              --frozen run mmaps it zero-copy and skips the
-//                              store decode entirely. A .tfzn without an
-//                              intact sibling .tsnp is an orphan: the cache
-//                              never reads it (the .tsnp is the source of
-//                              truth the audit and warm store paths trust).
-//                              Frames carry an optional planner-stats section
-//                              (docs/GRAPH.md); the pipeline treats a
-//                              stats-less frame as a miss and republishes an
-//                              upgraded one from the decoded store.
+//                              content key is the snapshot key. The graph a
+//                              warm run serves: it mmaps the frame zero-copy
+//                              and skips the store decode entirely. A .tfzn
+//                              without an intact sibling .tsnp is an orphan:
+//                              the cache never reads it (the .tsnp is the
+//                              source of truth the audit trusts); a missing
+//                              or corrupt frame is re-frozen from the
+//                              snapshot's store and republished.
 //   verdicts/<key>.tvdt        one chain-verification verdict (the `--verify`
 //                              post-pass, docs/ROBUSTNESS.md "Runtime
 //                              re-validation"): warm verify runs skip
@@ -98,13 +95,12 @@ struct CachedVerdict {
 
 /// A warm-started CPG: the deserialized graph plus the cold run's stats and
 /// the exact store bytes the snapshot embeds. When load_snapshot() was asked
-/// to skip the decode (`need_db = false`), `db` is empty and `db_decoded` is
-/// false — graph_bytes still holds the verified store blob.
+/// to skip the decode (`need_db = false`), `db` is empty — graph_bytes still
+/// holds the verified store blob.
 struct CachedCpg {
   cpg::CpgStats stats;
   graph::GraphDb db;
   std::vector<std::byte> graph_bytes;
-  bool db_decoded = true;
 };
 
 class AnalysisCache {

@@ -27,10 +27,9 @@
 namespace tabby::finder {
 
 /// The one graph question payload synthesis asks — "is hop a→b an ALIAS
-/// dispatch edge?" — abstracted over the two graph representations, so
-/// verification composes with `--frozen`: a chain found over the frozen CSR
-/// is verified against that same snapshot, with node ids meaning the same
-/// thing on both sides.
+/// dispatch edge?" — abstracted over the two graph representations, so a
+/// chain found over the frozen CSR is verified against that same snapshot,
+/// with node ids meaning the same thing on both sides.
 class AliasView {
  public:
   explicit AliasView(const graph::GraphDb& db) : db_(&db) {}

@@ -19,17 +19,11 @@ util::Deadline anchor(const std::optional<std::chrono::milliseconds>& budget) {
 }
 
 /// Bytes an Outcome keeps resident. The frozen frame and store bytes are
-/// exact; a decoded GraphDb (mutable vectors + property maps) is estimated
-/// from its node/edge counts. The estimate only has to be stable and
-/// monotone in graph size — admission compares sums of it against the cap,
-/// it never pretends to be an allocator audit.
+/// exact; a linked program is estimated from its method count. The estimate
+/// only has to be stable and monotone in size — admission compares sums of
+/// it against the cap, it never pretends to be an allocator audit.
 std::size_t resident_estimate(const Outcome& outcome) {
-  std::size_t bytes = 0;
-  if (outcome.frozen.has_value()) bytes += outcome.frozen->frame().size();
-  bytes += outcome.graph_bytes.size();
-  if (!outcome.db_skipped) {
-    bytes += outcome.db.node_count() * 192 + outcome.db.edge_count() * 64;
-  }
+  std::size_t bytes = outcome.frozen->frame().size() + outcome.graph_bytes.size();
   if (outcome.program.has_value()) {
     bytes += outcome.program->method_count() * 512;
   }
@@ -58,14 +52,8 @@ FindResult Analysis::find(const ExecContext& ctx) const {
   options.memory = memory_;
   options.dist.workers = ctx.workers;
 
-  // Same search, same report bytes — the frozen finder only changes how the
-  // adjacency and properties are read.
-  finder::GadgetChainFinder finder = outcome_.frozen.has_value()
-                                         ? finder::GadgetChainFinder(*outcome_.frozen, options)
-                                         : finder::GadgetChainFinder(outcome_.db, options);
   FindResult result;
-  result.report = finder.find_all();
-  result.used_frozen = outcome_.frozen.has_value();
+  result.report = finder::GadgetChainFinder(*outcome_.frozen, options).find_all();
   // Every entry point reports the same degradation: the open-phase units
   // merged with the finder's partial view (previously each caller filled
   // partial_sinks/frontier_pruned — or forgot to).
@@ -116,11 +104,8 @@ FindResult Analysis::find(const ExecContext& ctx) const {
         (void)cache->store_verdict(k, stored);  // best-effort publish
       };
     }
-    finder::AliasView aliases = outcome_.frozen.has_value()
-                                    ? finder::AliasView(*outcome_.frozen)
-                                    : finder::AliasView(outcome_.db);
-    result.verify =
-        finder::verify_chains(*outcome_.program, aliases, result.report.chains, vopts);
+    result.verify = finder::verify_chains(*outcome_.program, finder::AliasView(*outcome_.frozen),
+                                          result.report.chains, vopts);
     result.verified = true;
     result.degradation.unconfirmed_chains = result.verify.unconfirmed;
     if (dist_ != nullptr && result.verify.dist_stats.any()) {
@@ -137,13 +122,11 @@ util::Result<cypher::QueryResult> Analysis::query(std::string_view text,
   options.use_planner = ctx.use_planner;
   options.executor = executor_;
   options.memory = memory_;
-  return outcome_.frozen.has_value() ? cypher::run_query(*outcome_.frozen, text, options)
-                                     : cypher::run_query(outcome_.db, text, options);
+  return cypher::run_query(*outcome_.frozen, text, options);
 }
 
 std::string Analysis::render(const cypher::QueryResult& result) const {
-  std::string out = outcome_.frozen.has_value() ? result.to_string(*outcome_.frozen)
-                                                : result.to_string(outcome_.db);
+  std::string out = result.to_string(*outcome_.frozen);
   out += "(";
   out += std::to_string(result.rows.size());
   out += " row(s))\n";
@@ -174,7 +157,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
                                        const ExecContext& ctx, const OpenOptions& opts) {
   obs::Span span("engine.open");
   obs::counter_add("engine.opens");
-  const bool want_frozen = opts.use_frozen.value_or(options_.use_frozen);
   // The resident key is the snapshot key. An undigestable archive means the
   // key cannot describe the on-disk bytes: the open still runs (quarantine
   // may salvage it), but the result is never resident under a lying key.
@@ -193,8 +175,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       // everything the open needs; otherwise fall through and rebuild (the
       // replacement below upgrades the resident entry in place).
       bool satisfies = (!opts.need_program || have.program.has_value()) &&
-                       (!opts.need_graph_bytes || !have.graph_bytes.empty()) &&
-                       (want_frozen || !have.db_skipped);
+                       (!opts.need_graph_bytes || !have.graph_bytes.empty());
       if (satisfies) {
         ++it->second.hits;
         ++resident_hits_;
@@ -235,7 +216,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   options.cache_dir = options_.cache_dir;
   options.need_program = opts.need_program;
   options.need_graph_bytes = opts.need_graph_bytes;
-  options.use_frozen = want_frozen;
   options.executor = pool_.get();
   options.policy = ctx.policy;
   options.deadline = ctx.deadline;
@@ -265,8 +245,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   if (it != resident_.end()) {
     const Outcome& have = it->second.analysis->outcome();
     bool satisfies = (!opts.need_program || have.program.has_value()) &&
-                     (!opts.need_graph_bytes || !have.graph_bytes.empty()) &&
-                     (want_frozen || !have.db_skipped);
+                     (!opts.need_graph_bytes || !have.graph_bytes.empty());
     if (satisfies) return AnalysisPtr(it->second.analysis);
     evict_locked(*fp);
   }
@@ -319,20 +298,21 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   return AnalysisPtr(std::move(analysis));
 }
 
-AnalysisPtr Engine::open(const jir::Program& program, const ExecContext& ctx,
-                         const OpenOptions& opts) {
+util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecContext& ctx,
+                                       const OpenOptions& opts) {
   obs::Span span("engine.open");
   Options options;
   options.with_jdk = options_.with_jdk;
   options.need_program = opts.need_program;
-  options.use_frozen = opts.use_frozen.value_or(options_.use_frozen);
   options.executor = pool_.get();
   options.policy = ctx.policy;
   options.deadline = ctx.deadline;
   options.cancel = ctx.cancel;
   options.memory = budget_.get();
+  auto outcome = run(program, options);
+  if (!outcome.ok()) return outcome.error();
   auto analysis = std::shared_ptr<Analysis>(new Analysis());
-  analysis->outcome_ = run(program, options);
+  analysis->outcome_ = std::move(outcome.value());
   analysis->executor_ = pool_.get();
   analysis->memory_ = budget_.get();
   analysis->dist_ = &dist_telemetry_;

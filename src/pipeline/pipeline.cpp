@@ -32,39 +32,36 @@ util::Status absorb_build_cut(const cpg::Cpg& cpg, FailurePolicy policy, Outcome
   return util::Status::ok_status();
 }
 
-/// Freezes the built (or decoded) CPG into the immutable CSR when
-/// Options::use_frozen asks for it. Fail-soft: a freeze failure (a graph too
-/// large for the dense id space, an injected graph.freeze fault) leaves the
-/// store-backed db in charge with a warning — never a run failure.
-void freeze_outcome(const Options& options, std::uint64_t content_key, Outcome& outcome) {
-  if (!options.use_frozen) return;
+/// Freezes a CPG store into the CSR frame every request reads. The store
+/// is only the freeze's input; the caller drops it afterwards. A failed
+/// freeze (an injected graph.freeze fault, a graph past the dense 32-bit id
+/// space) is a run error: there is no other graph to serve.
+util::Status freeze_into(const graph::GraphDb& db, std::uint64_t content_key,
+                         util::MemoryBudget* memory, Outcome& outcome) {
   obs::Span span("graph.freeze");
-  auto frozen = graph::FrozenGraph::freeze(outcome.db, content_key, options.memory);
-  if (!frozen.ok()) {
-    obs::counter_add("graph.freeze_failures");
-    outcome.warnings.push_back("graph freeze failed: " + frozen.error().message +
-                               " (continuing with the store-backed graph)");
-    return;
-  }
+  auto frozen = graph::FrozenGraph::freeze(db, content_key, memory);
+  if (!frozen.ok()) return util::Error{"graph freeze failed: " + frozen.error().message};
   if (span.active()) {
     span.attr("nodes", static_cast<std::uint64_t>(frozen.value().node_count()));
     span.attr("bytes", static_cast<std::uint64_t>(frozen.value().frame().size()));
   }
   outcome.frozen = std::move(frozen.value());
+  return util::Status::ok_status();
 }
 
-/// Cold back half shared by both run() overloads: build the CPG and, when
-/// asked, the store bytes.
+/// Cold back half shared by both run() overloads: build the CPG into `db`
+/// (the freeze's input) and, when asked, the store bytes.
 util::Status build_into(const jir::Program& program, FailurePolicy policy,
-                        const cpg::CpgOptions& cpg_options, bool with_bytes, Outcome& outcome) {
+                        const cpg::CpgOptions& cpg_options, bool with_bytes, graph::GraphDb& db,
+                        Outcome& outcome) {
   cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
   util::Status cut = absorb_build_cut(cpg, policy, outcome);
   if (!cut.ok()) return cut;
-  outcome.db = std::move(cpg.db);
+  db = std::move(cpg.db);
   outcome.stats = cpg.stats;
   if (with_bytes) {
     TABBY_SPAN("graph.serialize");
-    outcome.graph_bytes = graph::serialize(outcome.db);
+    outcome.graph_bytes = graph::serialize(db);
   }
   return util::Status::ok_status();
 }
@@ -112,7 +109,6 @@ namespace {
 /// Publishes a freshly frozen frame next to its snapshot; a failed publish
 /// is a warning, never a run failure.
 void publish_frozen(cache::AnalysisCache& cache, std::uint64_t key, Outcome& outcome) {
-  if (!outcome.frozen.has_value()) return;
   auto stored = cache.store_frozen(key, *outcome.frozen);
   if (!stored.ok()) {
     outcome.warnings.push_back(stored.error().to_string() +
@@ -151,6 +147,7 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
     return util::Status::ok_status();
   };
   bool built = false;  // false: the deadline expired before the CPG build
+  graph::GraphDb db;   // the built store: only the freeze reads it
   auto build_cold = [&](bool with_bytes) -> util::Status {
     util::Status status = load();
     if (!status.ok()) return status;
@@ -160,7 +157,7 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
       return util::Status::ok_status();
     }
     built = true;
-    return build_into(*program, options.policy, cpg_options, with_bytes, outcome);
+    return build_into(*program, options.policy, cpg_options, with_bytes, db, outcome);
   };
   auto finish = [&]() {
     if (options.need_program) outcome.program = std::move(program);
@@ -168,9 +165,10 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   };
 
   if (options.cache_dir.empty()) {
+    // A run cut before the build freezes the empty store.
     util::Status status = build_cold(options.need_graph_bytes);
+    if (status.ok()) status = freeze_into(db, /*content_key=*/0, options.memory, outcome);
     if (!status.ok()) return status.error();
-    if (built) freeze_outcome(options, /*content_key=*/0, outcome);
     return finish();
   }
 
@@ -192,31 +190,17 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   }
   const std::uint64_t key = keyed.key;
 
-  // Frozen-first warm start: mmap the cached CSR frame when one matches.
-  // The sibling .tsnp stays the source of truth — a frozen hit still
-  // requires it intact (stats + the exact store bytes), but lets
-  // load_snapshot skip the expensive graph decode. A corrupt frame is a
-  // structured degradation, then the store path proceeds as if no frame
-  // existed; a frame without an intact snapshot is an orphan and is ignored.
-  std::optional<graph::FrozenGraph> warm_frozen;
-  if (options.use_frozen) {
-    std::string corrupt_reason;
-    auto frozen = cache.load_frozen(key, &corrupt_reason);
-    if (frozen.has_value() && !frozen->stats().has_value()) {
-      // A frame from before the planner-stats section still attaches, but
-      // queries over it would plan with fallback estimates. Treat it like a
-      // miss: the store path below re-freezes (now with stats) and
-      // republishes, upgrading the cache in place.
-      outcome.warnings.push_back(
-          "cached frozen graph predates cardinality stats (re-freezing to upgrade)");
-      frozen.reset();
-    }
-    if (frozen.has_value()) {
-      warm_frozen = std::move(frozen);
-    } else if (!corrupt_reason.empty()) {
-      outcome.warnings.push_back("cached frozen graph rejected: " + corrupt_reason +
-                                 " (falling back to the graph store)");
-    }
+  // Frame-first warm start: mmap the cached CSR frame when one matches. The
+  // sibling .tsnp stays the source of truth — a frame hit still requires it
+  // intact (stats + the exact store bytes), but lets load_snapshot skip the
+  // graph decode. A missing or corrupt frame makes the snapshot decode its
+  // store to re-freeze; a frame without an intact snapshot is an orphan and
+  // is ignored.
+  std::string corrupt_reason;
+  std::optional<graph::FrozenGraph> warm_frozen = cache.load_frozen(key, &corrupt_reason);
+  if (!corrupt_reason.empty()) {
+    outcome.warnings.push_back("cached frozen graph rejected: " + corrupt_reason +
+                               " (re-freezing from the graph store)");
   }
   std::optional<cache::CachedCpg> snapshot =
       cache.load_snapshot(key, /*need_db=*/!warm_frozen.has_value());
@@ -225,23 +209,24 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   if (!snapshot.has_value()) {
     util::Status status = build_cold(/*with_bytes=*/true);
     if (!status.ok()) return status.error();
-    if (!built) return finish();
     bool snapshot_published = false;
-    if (outcome.degradation.degraded() || !keyed.unreadable.empty()) {
+    if (built && (outcome.degradation.degraded() || !keyed.unreadable.empty())) {
       // Never publish a degraded CPG: the snapshot key describes the
       // on-disk classpath, and a later repaired run with the same bytes
       // must not warm-start from the holes.
       outcome.warnings.push_back("snapshot not published (degraded run)");
-    } else if (auto stored = cache.store_snapshot(key, outcome.stats, outcome.graph_bytes);
-               !stored.ok()) {
-      outcome.warnings.push_back(stored.error().to_string() + " (continuing without snapshot)");
-    } else {
-      snapshot_published = true;
+    } else if (built) {
+      auto stored = cache.store_snapshot(key, outcome.stats, outcome.graph_bytes);
+      if (stored.ok()) {
+        snapshot_published = true;
+      } else {
+        outcome.warnings.push_back(stored.error().to_string() + " (continuing without snapshot)");
+      }
     }
-    // Freeze after the store publish so the frame is only ever published
-    // next to its intact snapshot (a companion-less .tfzn is an orphan the
-    // warm path would ignore anyway).
-    freeze_outcome(options, key, outcome);
+    // The frame is only ever published next to its intact snapshot (a
+    // companion-less .tfzn is an orphan the warm path would ignore anyway).
+    status = freeze_into(db, key, options.memory, outcome);
+    if (!status.ok()) return status.error();
     if (snapshot_published) publish_frozen(cache, key, outcome);
     return finish();
   }
@@ -261,22 +246,14 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   outcome.graph_bytes = std::move(snapshot->graph_bytes);
   outcome.warm = true;
   if (warm_frozen.has_value()) {
-    // Frozen warm start: the mmapped frame is the graph; the store decode
-    // was skipped (db stays empty) unless load_snapshot decoded anyway.
     outcome.frozen = std::move(warm_frozen);
-    outcome.db_skipped = !snapshot->db_decoded;
-  }
-  if (snapshot->db_decoded) {
-    outcome.db = std::move(snapshot->db);
-    // Persistence stores data, not index structures; recreate the standard
-    // set so lookups behave exactly as on a freshly built CPG.
-    cpg::create_standard_indexes(outcome.db, options.executor);
-    if (options.use_frozen && !outcome.frozen.has_value()) {
-      // Frozen requested but the frame was absent or corrupt: re-freeze
-      // from the decoded store and republish so the cache self-heals.
-      freeze_outcome(options, key, outcome);
-      publish_frozen(cache, key, outcome);
-    }
+  } else {
+    // The frame was absent or corrupt: re-freeze from the decoded store and
+    // republish so the cache self-heals. The freeze reads only the elements
+    // and the cardinality counts, so the property indexes are not rebuilt.
+    util::Status status = freeze_into(snapshot->db, key, options.memory, outcome);
+    if (!status.ok()) return status.error();
+    publish_frozen(cache, key, outcome);
   }
   return finish();
 }
@@ -409,19 +386,20 @@ util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Optio
              classpath_key(jar_paths, options.with_jdk, cpg::options_fingerprint(options.cpg)));
 }
 
-Outcome run(const jir::Program& program, const Options& options) {
+util::Result<Outcome> run(const jir::Program& program, const Options& options) {
   obs::Span span("pipeline.run");
   cpg::CpgOptions cpg_options = options.cpg;
   cpg_options.executor = options.executor;
   cpg_options.deadline = options.deadline.tightened(cpg_options.deadline);
   if (cpg_options.memory == nullptr) cpg_options.memory = options.memory;
   Outcome outcome;
-  // This overload cannot return an error, so a deadline cut is always
-  // absorbed as degradation regardless of policy.
-  (void)build_into(program, FailurePolicy::kQuarantine, cpg_options, options.need_graph_bytes,
+  graph::GraphDb db;
+  // A deadline cut is always absorbed as degradation regardless of policy.
+  (void)build_into(program, FailurePolicy::kQuarantine, cpg_options, options.need_graph_bytes, db,
                    outcome);
+  util::Status frozen = freeze_into(db, /*content_key=*/0, options.memory, outcome);
+  if (!frozen.ok()) return frozen.error();
   if (options.need_program) outcome.program = program;
-  freeze_outcome(options, /*content_key=*/0, outcome);
   return outcome;
 }
 

@@ -37,7 +37,6 @@
 #include "cache/cache.hpp"
 #include "cpg/builder.hpp"
 #include "graph/frozen.hpp"
-#include "graph/graph.hpp"
 #include "jir/model.hpp"
 #include "util/deadline.hpp"
 #include "util/memory_budget.hpp"
@@ -112,16 +111,6 @@ struct Options {
   /// when no cache is in play. Cache runs always have them (snapshots embed
   /// the store bytes).
   bool need_graph_bytes = false;
-  /// Also freeze the CPG into an immutable CSR snapshot (Outcome::frozen),
-  /// the representation the finder and cypher hot paths prefer (see
-  /// docs/GRAPH.md). Cache runs publish the frame next to the snapshot
-  /// (snapshots/<key>.tfzn); a warm start mmaps it zero-copy and skips the
-  /// graph-store decode entirely (Outcome::db_skipped). Fail-soft both ways:
-  /// a freeze failure or a corrupt cached frame degrades to the store-backed
-  /// graph with a warning, never a run failure. Off by default at the
-  /// library level — every query result is byte-identical either way, so
-  /// existing embedders see no change; the CLI enables it (--frozen).
-  bool use_frozen = false;
   /// Worker pool for the parallel stages; nullptr = serial. Borrowed, must
   /// outlive run(). (make_pool() builds one from a --jobs-style count.)
   util::Executor* executor = nullptr;
@@ -153,21 +142,19 @@ struct Options {
 
 /// The CPG for one pipeline invocation, however it was obtained (cold build
 /// or cache snapshot) — the library-level equivalent of one analyze/find/
-/// query front half.
+/// query front half. The graph is the frozen CSR frame (docs/GRAPH.md): a
+/// cold run builds the mutable store, freezes it and drops it; a warm run
+/// mmaps the cached frame and decodes the store only to re-freeze a frame
+/// that is missing or corrupt.
 struct Outcome {
-  graph::GraphDb db;
   cpg::CpgStats stats;
-  /// The frozen CSR snapshot, when Options::use_frozen was set and the
-  /// freeze (or the cached-frame mmap) succeeded. Traversal, finder and
-  /// cypher results against it are byte-identical to store-backed runs on
-  /// `db`; absence just means the run degraded to the store representation.
+  /// The graph every finder, cypher and verify request reads. Engaged on
+  /// every successful run (a quarantine run cut by the deadline before the
+  /// build holds the frozen empty graph).
   std::optional<graph::FrozenGraph> frozen;
-  /// True when a warm frozen start skipped deserializing the graph store:
-  /// `db` is empty and `frozen` holds the graph (db_skipped implies frozen
-  /// is present; graph_bytes still carry the verified store blob).
-  bool db_skipped = false;
-  /// graph::serialize(db), the exact bytes `--store` writes. Present on
-  /// every cache run and whenever Options::need_graph_bytes was set.
+  /// graph::serialize of the built store, the exact bytes `--store` writes.
+  /// Present on every cache run and whenever Options::need_graph_bytes was
+  /// set.
   std::vector<std::byte> graph_bytes;
   /// The linked program, when Options::need_program was set.
   std::optional<jir::Program> program;
@@ -229,10 +216,11 @@ ClasspathKey classpath_key(const std::vector<std::string>& jar_paths, bool with_
                            std::uint64_t options_fp);
 
 /// The full cache-aware front end shared by analyze/find/query: digest the
-/// classpath, warm-start from a snapshot when one matches, otherwise load
-/// the archives in parallel (load_program, cache or not), link, build the
-/// CPG and publish a new snapshot. Without a cache_dir this is the plain
-/// cold pipeline.
+/// classpath, warm-start from the cached frame and snapshot when they match,
+/// otherwise load the archives in parallel (load_program, cache or not),
+/// link, build and freeze the CPG and publish the snapshot and the frame.
+/// Without a cache_dir this is the plain cold pipeline. A failed freeze (the
+/// graph.freeze failpoint, or a graph past 2^32 ids) is a run error.
 util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options);
 
 /// run() with the classpath key already computed, for a caller that needs
@@ -244,7 +232,9 @@ util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Optio
                           const ClasspathKey& keyed);
 
 /// In-memory variant: build the CPG for an already-linked program (no
-/// archives, no cache). The path examples and embedding libraries use.
-Outcome run(const jir::Program& program, const Options& options);
+/// archives, no cache). The path examples and embedding libraries use. A
+/// deadline cut is absorbed as degradation whatever the policy; the only
+/// error is a failed freeze.
+util::Result<Outcome> run(const jir::Program& program, const Options& options);
 
 }  // namespace tabby::pipeline

@@ -30,7 +30,7 @@ namespace tabby::serve {
 
 struct ServeOptions {
   /// Engine configuration (jobs, cache_dir, memory budget, max_resident,
-  /// with_jdk, use_frozen default). The daemon chains its eviction counter
+  /// with_jdk). The daemon chains its eviction counter
   /// onto any on_evict already set here.
   pipeline::EngineOptions engine;
   /// Default finder worker processes for requests that do not send their own

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <vector>
 
 #include "util/failpoint.hpp"
@@ -21,7 +22,13 @@ inline Result<std::vector<std::byte>> read_file(const std::filesystem::path& pat
   }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Error{"cannot open for read: " + path.string()};
+  // A path that opens but is not a regular file (a directory, a pipe) has
+  // no size: tellg reports -1, or on ext4 a directory's end is LLONG_MAX.
   std::streamsize size = in.tellg();
+  std::error_code ec;
+  if (size < 0 || !std::filesystem::is_regular_file(path, ec)) {
+    return Error{"cannot read (not a regular file): " + path.string()};
+  }
   in.seekg(0);
   std::vector<std::byte> bytes(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(bytes.data()), size);

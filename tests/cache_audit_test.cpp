@@ -60,10 +60,13 @@ std::string read_bytes(const fs::path& path) {
   return buf.str();
 }
 
-std::vector<fs::path> files_in(const fs::path& dir) {
+/// The files directly under `dir`; only those with `extension` when given.
+std::vector<fs::path> files_in(const fs::path& dir, const std::string& extension = "") {
   std::vector<fs::path> files;
   if (!fs::exists(dir)) return files;
-  for (const auto& entry : fs::directory_iterator(dir)) files.push_back(entry.path());
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (extension.empty() || entry.path().extension() == extension) files.push_back(entry.path());
+  }
   return files;
 }
 
@@ -77,17 +80,21 @@ class CacheAuditFixture : public ::testing::Test {
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("BeanShell1").jar, jar1_).ok());
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("Rome").jar, jar2_).ok());
     cache_ = (dir_ / "cache").string();
-    // Warm the cache: one whole-classpath snapshot.
+    // Warm the cache: one whole-classpath snapshot and its frozen frame.
     CliRun cold = run({"analyze", jar1_, jar2_, "--cache", cache_});
     ASSERT_EQ(cold.code, 0) << cold.err;
-    snapshots_ = files_in(fs::path(cache_) / "snapshots");
+    ASSERT_EQ(files_in(fs::path(cache_) / "snapshots").size(), 2u);
+    snapshots_ = files_in(fs::path(cache_) / "snapshots", ".tsnp");
+    frames_ = files_in(fs::path(cache_) / "snapshots", ".tfzn");
     ASSERT_EQ(snapshots_.size(), 1u);
+    ASSERT_EQ(frames_.size(), 1u);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
   fs::path dir_;
   std::string jar1_, jar2_, cache_;
   std::vector<fs::path> snapshots_;
+  std::vector<fs::path> frames_;
 };
 
 TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
@@ -95,7 +102,8 @@ TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_TRUE(report.value().clean());
   EXPECT_EQ(report.value().snapshots_checked, 1u);
-  EXPECT_EQ(report.value().entries.size(), 1u);
+  EXPECT_EQ(report.value().frozen_checked, 1u);
+  EXPECT_EQ(report.value().entries.size(), 2u);
   EXPECT_EQ(report.value().reclaimable_bytes, 0u);
 
   CliRun cli = run({"cache", cache_});
@@ -115,7 +123,10 @@ TEST_F(CacheAuditFixture, BitFlipIsDetectedWithReclaimableBytes) {
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_FALSE(report.value().clean());
   EXPECT_EQ(report.value().corrupt, 1u);
-  EXPECT_EQ(report.value().reclaimable_bytes, fs::file_size(snapshots_[0]));
+  // The frame lost its intact companion snapshot: an orphan.
+  EXPECT_EQ(report.value().orphaned, 1u);
+  EXPECT_EQ(report.value().reclaimable_bytes,
+            fs::file_size(snapshots_[0]) + fs::file_size(frames_[0]));
   // Audit without --prune is read-only.
   EXPECT_EQ(report.value().reclaimed_bytes, 0u);
   EXPECT_TRUE(fs::exists(snapshots_[0]));
@@ -139,7 +150,7 @@ TEST_F(CacheAuditFixture, PruneHealsAndOnlyThePrunedSnapshotRebuilds) {
   // A second classpath gets its own snapshot; corrupt only the first.
   CliRun other = run({"analyze", jar1_, "--cache", cache_});
   ASSERT_EQ(other.code, 0) << other.err;
-  std::vector<fs::path> both = files_in(fs::path(cache_) / "snapshots");
+  std::vector<fs::path> both = files_in(fs::path(cache_) / "snapshots", ".tsnp");
   ASSERT_EQ(both.size(), 2u);
   const fs::path intact = both[0] == snapshots_[0] ? both[1] : both[0];
   const std::string intact_bytes = read_bytes(intact);

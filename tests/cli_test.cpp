@@ -128,6 +128,30 @@ TEST_F(CliFixture, AnalyzeMissingJarFails) {
   EXPECT_NE(r.err.find("error"), std::string::npos);
 }
 
+// A directory opens but cannot be read as a file: it is an unreadable
+// archive like any other, never an allocation failure.
+TEST_F(CliFixture, DirectoryOnTheClasspathIsAnUnreadableArchive) {
+  CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  fs::create_directories(path("somedir.tjar"));
+  const std::string expected = "degraded: [fs-read] " + path("somedir.tjar") + ": ";
+  for (bool cached : {false, true}) {
+    std::vector<std::string> args = {"find", path("BeanShell1.tjar"), path("somedir.tjar")};
+    if (cached) args.insert(args.end(), {"--cache", path("cache")});
+    CliRun r = run(args);
+    EXPECT_EQ(r.code, 3) << r.err;
+    EXPECT_NE(r.err.find(expected), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("bad_alloc"), std::string::npos) << r.err;
+    EXPECT_NE(r.out.find("3 gadget chain(s)"), std::string::npos) << r.out;
+
+    args.push_back("--strict");
+    CliRun strict = run(args);
+    EXPECT_EQ(strict.code, 1) << strict.err;
+    EXPECT_NE(strict.err.find("error: " + path("somedir.tjar")), std::string::npos)
+        << strict.err;
+  }
+}
+
 TEST_F(CliFixture, QueryParseErrorReported) {
   CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
   ASSERT_EQ(gen.code, 0);
@@ -188,14 +212,15 @@ TEST_F(CliFixture, CacheStatsLineReportsMissThenHit) {
   ASSERT_EQ(cold.code, 0) << cold.err;
   const std::string cold_line = cold.out.substr(0, cold.out.find('\n'));
   EXPECT_EQ(cold_line.rfind("cache: snapshot miss (key ", 0), 0u) << cold.out;
-  // The cold run published one whole-classpath snapshot and nothing per
-  // archive.
-  std::vector<std::string> published;
+  // The cold run published one whole-classpath snapshot and its frozen
+  // frame, and nothing per archive.
+  std::set<std::string> published;
   for (const auto& entry : fs::recursive_directory_iterator(path("cache"))) {
-    if (entry.is_regular_file()) published.push_back(entry.path().filename().string());
+    if (entry.is_regular_file()) published.insert(entry.path().filename().string());
   }
-  ASSERT_EQ(published.size(), 1u);
-  EXPECT_EQ(fs::path(published[0]).extension(), ".tsnp");
+  ASSERT_EQ(published.size(), 2u);
+  const std::string stem = fs::path(*published.begin()).stem().string();
+  EXPECT_EQ(published, (std::set<std::string>{stem + ".tfzn", stem + ".tsnp"}));
   EXPECT_FALSE(fs::exists(path("cache") + "/fragments"));
 
   CliRun warm = run({"analyze", path("BeanShell1.tjar"), "--cache", path("cache")});

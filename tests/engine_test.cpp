@@ -121,7 +121,7 @@ TEST_F(EngineFixture, FindMatchesOneShotCliByteForByte) {
   auto analysis = engine.open({jar_a_}, ctx);
   ASSERT_TRUE(analysis.ok());
   pipeline::FindResult found = analysis.value()->find(ctx);
-  EXPECT_TRUE(found.used_frozen);  // the engine's serving default
+  EXPECT_TRUE(found.used_frozen);  // the frame is the only graph an open serves
   EXPECT_EQ(chain_lines(found), chain_lines(cli.out));
 }
 
@@ -216,7 +216,7 @@ TEST_F(EngineFixture, TightBudgetEvictsLruAndResultsStayByteIdentical) {
   // of tenant evicts the other's idle analysis.
   std::vector<std::pair<std::uint64_t, std::size_t>> evicted;
   pipeline::EngineOptions options;
-  options.memory_budget_bytes = 900 * 1024;
+  options.memory_budget_bytes = 400 * 1024;
   options.on_evict = [&](std::uint64_t fingerprint, std::size_t bytes) {
     evicted.emplace_back(fingerprint, bytes);
   };
@@ -333,8 +333,9 @@ TEST_F(EngineFixture, InMemoryOpenIsNonResident) {
   pipeline::Engine engine;
   pipeline::ExecContext ctx;
   corpus::Component component = corpus::build_component("BeanShell1");
-  pipeline::AnalysisPtr analysis = engine.open(component.link(), ctx);
-  ASSERT_NE(analysis, nullptr);
+  auto opened = engine.open(component.link(), ctx);
+  ASSERT_TRUE(opened.ok()) << opened.error().to_string();
+  pipeline::AnalysisPtr analysis = opened.value();
   EXPECT_EQ(analysis->fingerprint(), 0u);
   EXPECT_EQ(engine.stats().entries.size(), 0u);
   EXPECT_GT(analysis->find(ctx).report.chains.size(), 0u);

@@ -3,8 +3,8 @@
 // determinism of the frame, the fail-closed validation contract (truncation,
 // bit flips, version skew are structured errors, never UB), memory-budget
 // charging, the cache's .tfzn publish/load/audit integration, and the
-// end-to-end guarantee that `--frozen` and `--no-frozen` runs are
-// byte-identical.
+// end-to-end guarantee that cold runs (freeze in memory) and warm runs
+// (attach the cached frame) are byte-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +30,7 @@
 #include "pipeline/pipeline.hpp"
 #include "support/random_graph.hpp"
 #include "util/digest.hpp"
+#include "util/failpoint.hpp"
 #include "util/memory_budget.hpp"
 #include "util/rng.hpp"
 
@@ -363,6 +364,11 @@ CliRun run(std::vector<std::string> args) {
   return result;
 }
 
+/// `out` without its leading "cache:" line.
+std::string strip_cache_line(const std::string& out) {
+  return out.rfind("cache:", 0) == 0 ? out.substr(out.find('\n') + 1) : out;
+}
+
 void flip_byte(const fs::path& path, std::size_t offset) {
   std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
   ASSERT_TRUE(file.good()) << path;
@@ -456,25 +462,23 @@ TEST_F(FrozenCacheFixture, AuditSeesFrozenFramesAndPrunesOrphans) {
 TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   pipeline::Options options;
   options.cache_dir = cache_dir_;
-  options.use_frozen = true;
   auto cold = pipeline::run({jar_}, options);
   ASSERT_TRUE(cold.ok()) << cold.error().message;
   EXPECT_FALSE(cold.value().warm);
   ASSERT_TRUE(cold.value().frozen.has_value());
-  EXPECT_FALSE(cold.value().db_skipped);
+  EXPECT_FALSE(cold.value().frozen->mapped());  // frozen in memory from the build
 
   auto warm = pipeline::run({jar_}, options);
   ASSERT_TRUE(warm.ok()) << warm.error().message;
   EXPECT_TRUE(warm.value().warm);
   ASSERT_TRUE(warm.value().frozen.has_value());
-  EXPECT_TRUE(warm.value().db_skipped);
-  EXPECT_TRUE(warm.value().frozen->mapped());
-  EXPECT_EQ(warm.value().db.node_count(), 0u);
-  // The graph bytes still carry the verified store blob either way.
+  EXPECT_TRUE(warm.value().frozen->mapped());  // the cached frame, attached
+  // The graph bytes still carry the verified store blob, and the attached
+  // frame is the cold run's freeze, bit for bit.
   EXPECT_EQ(warm.value().graph_bytes, cold.value().graph_bytes);
-  EXPECT_EQ(warm.value().frozen->node_count(), cold.value().frozen->node_count());
+  EXPECT_TRUE(std::ranges::equal(warm.value().frozen->frame(), cold.value().frozen->frame()));
 
-  // Corrupt the cached frame: the next warm run degrades to the store
+  // Corrupt the cached frame: the next warm run re-freezes from the store
   // decode with a warning — and self-heals by republishing a fresh frame.
   auto frames = frozen_frames();
   ASSERT_EQ(frames.size(), 1u);
@@ -484,8 +488,9 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   auto healed = pipeline::run({jar_}, options);
   ASSERT_TRUE(healed.ok()) << healed.error().message;
   EXPECT_TRUE(healed.value().warm);
-  EXPECT_FALSE(healed.value().db_skipped);
   ASSERT_TRUE(healed.value().frozen.has_value());
+  EXPECT_FALSE(healed.value().frozen->mapped());  // re-frozen, not attached
+  EXPECT_TRUE(std::ranges::equal(healed.value().frozen->frame(), cold.value().frozen->frame()));
   bool warned = false;
   for (const auto& warning : healed.value().warnings)
     warned |= warning.find("frozen") != std::string::npos;
@@ -495,14 +500,21 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   EXPECT_EQ(before, after);  // byte-identical republish
 }
 
+TEST_F(FrozenCacheFixture, FailedFreezeIsARunError) {
+  util::failpoint::arm();
+  util::failpoint::activate("graph.freeze");
+  auto cold = pipeline::run({jar_}, pipeline::Options{});
+  util::failpoint::disarm();
+  ASSERT_FALSE(cold.ok());
+  EXPECT_NE(cold.error().message.find("graph freeze failed"), std::string::npos)
+      << cold.error().message;
+}
+
 // A cache directory written by the FNV-1a-era build (snapshot and verdict
 // entries v1, frozen frame v1, each signed with FNV-1a64) must
 // be a clean version miss that republishes current entries: same chains and
 // verdicts, and never a checksum or corruption diagnostic.
 TEST_F(FrozenCacheFixture, OldFormatCacheMissesAndRepublishes) {
-  auto strip_cache_line = [](const std::string& text) {
-    return text.rfind("cache:", 0) == 0 ? text.substr(text.find('\n') + 1) : text;
-  };
   CliRun cold = run({"find", jar_, "--cache", cache_dir_, "--verify"});
   ASSERT_EQ(cold.code, 0) << cold.err;
   ASSERT_NE(cold.out.find("auto-verify:"), std::string::npos) << cold.out;
@@ -563,22 +575,62 @@ TEST_F(FrozenCacheFixture, OldFormatCacheMissesAndRepublishes) {
   EXPECT_EQ(strip_cache_line(warm.out), strip_cache_line(cold.out));
 }
 
-TEST_F(FrozenCacheFixture, CliFindIsByteIdenticalFrozenVsStore) {
-  CliRun frozen = run({"find", jar_, "--frozen"});
-  CliRun store = run({"find", jar_, "--no-frozen"});
-  ASSERT_EQ(frozen.code, store.code);
-  EXPECT_EQ(frozen.out, store.out);
-  ASSERT_FALSE(frozen.out.empty());
+TEST_F(FrozenCacheFixture, CliFindIsByteIdenticalColdVsWarm) {
+  CliRun cold = run({"find", jar_});
+  ASSERT_EQ(cold.code, 0) << cold.err;
+  ASSERT_FALSE(cold.out.empty());
+  CliRun cold_cached = run({"find", jar_, "--cache", cache_dir_});
+  ASSERT_EQ(cold_cached.code, 0) << cold_cached.err;
+  EXPECT_EQ(strip_cache_line(cold_cached.out), cold.out);
+  ASSERT_EQ(frozen_frames().size(), 1u);
+  for (const char* jobs : {"1", "4"}) {
+    // The warm runs attach the frame the cold run published.
+    CliRun warm = run({"find", jar_, "--cache", cache_dir_, "--jobs", jobs});
+    ASSERT_EQ(warm.code, 0) << warm.err;
+    EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
+    EXPECT_EQ(strip_cache_line(warm.out), cold.out) << "jobs=" << jobs;
+  }
 
-  CliRun jobs = run({"find", jar_, "--frozen", "--jobs", "4"});
-  EXPECT_EQ(jobs.out, store.out);
+  const std::string query = "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE";
+  CliRun query_cold = run({"query", jar_, query});
+  CliRun query_warm = run({"query", jar_, query, "--cache", cache_dir_});
+  ASSERT_EQ(query_cold.code, 0) << query_cold.err;
+  ASSERT_EQ(query_warm.code, 0) << query_warm.err;
+  EXPECT_EQ(strip_cache_line(query_warm.out), query_cold.out);
+}
 
-  CliRun query_frozen =
-      run({"query", jar_, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE", "--frozen"});
-  CliRun query_store =
-      run({"query", jar_, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE", "--no-frozen"});
-  ASSERT_EQ(query_frozen.code, 0) << query_frozen.err;
-  EXPECT_EQ(query_frozen.out, query_store.out);
+// `analyze --cache` publishes the frame next to the snapshot, so the next
+// analyze or find attaches it instead of decoding the store and re-freezing.
+TEST_F(FrozenCacheFixture, AnalyzeCacheHandsTheFrameToFind) {
+  const std::string store = (dir_ / "cold.tgdb").string();
+  CliRun analyze_cold = run({"analyze", jar_, "--store", store});
+  CliRun find_cold = run({"find", jar_});
+  ASSERT_EQ(analyze_cold.code, 0) << analyze_cold.err;
+  ASSERT_EQ(find_cold.code, 0) << find_cold.err;
+
+  CliRun published = run({"analyze", jar_, "--cache", cache_dir_});
+  ASSERT_EQ(published.code, 0) << published.err;
+  ASSERT_EQ(frozen_frames().size(), 1u);
+
+  const std::string warm_store = (dir_ / "warm.tgdb").string();
+  CliRun analyze_warm =
+      run({"analyze", jar_, "--cache", cache_dir_, "--store", warm_store, "--metrics"});
+  CliRun find_warm = run({"find", jar_, "--cache", cache_dir_, "--metrics"});
+  for (const CliRun* warm : {&analyze_warm, &find_warm}) {
+    ASSERT_EQ(warm->code, 0) << warm->err;
+    EXPECT_NE(warm->out.find("snapshot hit"), std::string::npos) << warm->out;
+    EXPECT_NE(warm->err.find("metrics: counter cache.frozen_hits = 1\n"), std::string::npos)
+        << warm->err;
+    EXPECT_EQ(warm->err.find("graph.freeze"), std::string::npos) << warm->err;
+  }
+  auto stats_lines = [](const std::string& out) {
+    return out.substr(0, out.find("graph store written to "));
+  };
+  EXPECT_EQ(stats_lines(strip_cache_line(analyze_warm.out)), stats_lines(analyze_cold.out));
+  EXPECT_EQ(strip_cache_line(find_warm.out), find_cold.out);
+  std::ifstream cold_bytes(store, std::ios::binary), warm_bytes(warm_store, std::ios::binary);
+  EXPECT_TRUE(std::equal(std::istreambuf_iterator<char>(cold_bytes), {},
+                         std::istreambuf_iterator<char>(warm_bytes), {}));
 }
 
 }  // namespace

@@ -178,11 +178,13 @@ TEST_P(IncrementalCache, ColdWarmAndMutationAreDifferentiallyIdentical) {
   ASSERT_EQ(cold.code, 0) << cold.err;
   const std::string key = cache_key(cold.out);
   EXPECT_EQ(cold.out.rfind("cache: snapshot miss (key " + key + ")\n", 0), 0u) << cold.out;
-  // The cold run publishes exactly the one snapshot, and a cold run at
-  // another job count publishes the same bytes: the cache holds no clock.
+  // The cold run publishes exactly the one snapshot and its frozen frame,
+  // and a cold run at another job count publishes the same bytes: the cache
+  // holds no clock.
   std::map<std::string, std::string> cold_tree = cache_tree(path("cache"));
-  ASSERT_EQ(cold_tree.size(), 1u);
-  EXPECT_EQ(cold_tree.begin()->first, "snapshots/" + key + ".tsnp");
+  ASSERT_EQ(cold_tree.size(), 2u);
+  EXPECT_EQ(cold_tree.begin()->first, "snapshots/" + key + ".tfzn");
+  EXPECT_EQ(cold_tree.rbegin()->first, "snapshots/" + key + ".tsnp");
   CliRun cold_j4 = run(with_flags("analyze", target, {"--cache", path("cache_j4"), "--jobs", "4"}));
   ASSERT_EQ(cold_j4.code, 0) << cold_j4.err;
   EXPECT_TRUE(cold_tree == cache_tree(path("cache_j4")))

@@ -3,6 +3,7 @@
 // library-level contract the CLI and the examples are thin callers of.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "corpus/components.hpp"
+#include "cpg/builder.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/pipeline.hpp"
@@ -72,6 +74,8 @@ TEST_F(PipelineFixture, ColdRunBuildsACpg) {
   EXPECT_TRUE(outcome.cache_line.empty());
   EXPECT_TRUE(outcome.graph_bytes.empty());  // not requested
   EXPECT_FALSE(outcome.program.has_value());
+  ASSERT_TRUE(outcome.frozen.has_value());  // the frame is the graph every run serves
+  EXPECT_GT(outcome.frozen->node_count(), 0u);
 }
 
 TEST_F(PipelineFixture, GraphBytesAreTheExactStoreSerialization) {
@@ -79,7 +83,9 @@ TEST_F(PipelineFixture, GraphBytesAreTheExactStoreSerialization) {
   options.need_graph_bytes = true;
   auto result = run({jar_path_}, options);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().graph_bytes, graph::serialize(result.value().db));
+  auto program = load_program({jar_path_}, /*with_jdk=*/true);
+  ASSERT_TRUE(program.ok()) << program.error().to_string();
+  EXPECT_EQ(result.value().graph_bytes, graph::serialize(cpg::build_cpg(program.value()).db));
 }
 
 TEST_F(PipelineFixture, NeedProgramKeepsTheLinkedProgram) {
@@ -129,10 +135,13 @@ TEST_F(PipelineFixture, InMemoryOverloadMatchesTheArchivePath) {
 
   Options options;
   options.need_graph_bytes = true;
-  Outcome from_program = run(program.value(), options);
+  auto from_program = run(program.value(), options);
   auto from_archives = run({jar_path_}, options);
+  ASSERT_TRUE(from_program.ok());
   ASSERT_TRUE(from_archives.ok());
-  EXPECT_EQ(from_program.graph_bytes, from_archives.value().graph_bytes);
+  EXPECT_EQ(from_program.value().graph_bytes, from_archives.value().graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(from_program.value().frozen->frame(),
+                                 from_archives.value().frozen->frame()));
 }
 
 TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {

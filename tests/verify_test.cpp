@@ -397,13 +397,19 @@ TEST_F(VerifyCliFixture, CliVerifyIsByteIdenticalAtAnyVerifyWorkerCount) {
   }
 }
 
-TEST_F(VerifyCliFixture, CliVerifyIsByteIdenticalFrozenVsStore) {
-  CliRun frozen = run_cli_capture({"find", jar_, "--verify"});
-  ASSERT_EQ(frozen.code, 0) << frozen.err;
-  CliRun store = run_cli_capture({"find", jar_, "--verify", "--no-frozen"});
-  ASSERT_EQ(store.code, 0) << store.err;
-  EXPECT_EQ(store.out, frozen.out);
-  EXPECT_EQ(store.err, frozen.err);
+TEST_F(VerifyCliFixture, CliVerifyIsByteIdenticalColdVsWarm) {
+  // Verify over the frame a cold run freezes in memory matches verify over
+  // the cached frame a warm run attaches. The cache holds no verdicts yet,
+  // so the warm run re-executes every chain.
+  CliRun cold = run_cli_capture({"find", jar_, "--verify"});
+  ASSERT_EQ(cold.code, 0) << cold.err;
+  const std::string cache = (dir_ / "cache").string();
+  ASSERT_EQ(run_cli_capture({"find", jar_, "--cache", cache}).code, 0);
+  CliRun warm = run_cli_capture({"find", jar_, "--verify", "--cache", cache});
+  ASSERT_EQ(warm.code, 0) << warm.err;
+  ASSERT_EQ(warm.out.rfind("cache: snapshot hit", 0), 0u) << warm.out;
+  EXPECT_EQ(warm.out.substr(warm.out.find('\n') + 1), cold.out);
+  EXPECT_EQ(warm.err, cold.err);
 }
 
 TEST_F(VerifyCliFixture, CliVerifyAbsorbsACrashByteIdentically) {
