@@ -18,7 +18,7 @@ using namespace tabby;
 
 namespace {
 
-graph::GraphDb random_graph(std::size_t nodes, std::size_t edges, bool with_index) {
+graph::GraphDb random_graph(std::size_t nodes, std::size_t edges) {
   graph::GraphDb db;
   util::Rng rng(99);
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -29,7 +29,6 @@ graph::GraphDb random_graph(std::size_t nodes, std::size_t edges, bool with_inde
   for (std::size_t i = 0; i < edges; ++i) {
     db.add_edge(rng.next_below(nodes), rng.next_below(nodes), "CALL");
   }
-  if (with_index) db.create_index("Method", "NAME");
   return db;
 }
 
@@ -61,17 +60,8 @@ void BM_EdgeInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeInsert)->Arg(10000);
 
-void BM_IndexedLookup(benchmark::State& state) {
-  graph::GraphDb db = random_graph(20000, 0, true);
-  for (auto _ : state) {
-    auto hits = db.find_nodes("Method", "NAME", graph::Value{std::string("m17")});
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_IndexedLookup);
-
 void BM_LabelScanLookup(benchmark::State& state) {
-  graph::GraphDb db = random_graph(20000, 0, false);
+  graph::GraphDb db = random_graph(20000, 0);
   for (auto _ : state) {
     auto hits = db.find_nodes("Method", "NAME", graph::Value{std::string("m17")});
     benchmark::DoNotOptimize(hits);
@@ -80,7 +70,7 @@ void BM_LabelScanLookup(benchmark::State& state) {
 BENCHMARK(BM_LabelScanLookup);
 
 void BM_TraversalDepth4(benchmark::State& state) {
-  graph::GraphDb db = random_graph(2000, 8000, false);
+  graph::GraphDb db = random_graph(2000, 8000);
   auto expand = [](const graph::GraphDb& g, const graph::Path& path, const int& s) {
     std::vector<graph::Step<int>> steps;
     for (graph::EdgeId e : g.out_edges(path.end())) {
@@ -103,7 +93,7 @@ void BM_TraversalDepth4(benchmark::State& state) {
 BENCHMARK(BM_TraversalDepth4);
 
 void BM_SerializeRoundTrip(benchmark::State& state) {
-  graph::GraphDb db = random_graph(5000, 20000, false);
+  graph::GraphDb db = random_graph(5000, 20000);
   for (auto _ : state) {
     auto bytes = graph::serialize(db);
     auto loaded = graph::deserialize(bytes);
@@ -231,7 +221,7 @@ BENCHMARK(BM_TypedTraversalFrozen);
 void BM_FrozenTraversalDepth4(benchmark::State& state) {
   // The exact BM_TraversalDepth4 workload over the frozen CSR (random_graph
   // is single-typed, so untyped CSR order matches insertion order).
-  graph::GraphDb db = random_graph(2000, 8000, false);
+  graph::GraphDb db = random_graph(2000, 8000);
   auto frozen_result = graph::FrozenGraph::freeze(db);
   graph::FrozenGraph fg = std::move(frozen_result.value());
   auto expand = [](const graph::FrozenGraph& g, const graph::Path& path, const int& s) {

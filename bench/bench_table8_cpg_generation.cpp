@@ -89,9 +89,8 @@ int main() {
               first_ratio, last_ratio);
 
   // Thread sweep: the same build fanned across the --jobs worker pool. The
-  // parallel stages (controllability waves, call/alias payloads, index
-  // back-fills) produce a bit-identical CPG at every job count, so this only
-  // measures wall clock. Speedup is relative to jobs=1 (the serial pipeline).
+  // parallel stages (controllability waves, call/alias payloads) produce a
+  // bit-identical CPG at every job count, so this only measures wall clock. Speedup is relative to jobs=1 (the serial pipeline).
   std::printf("\nThread sweep — parallel CPG build (50-row corpus, median of 3)\n");
   std::size_t sweep_actual = 0;
   std::vector<jar::Archive> sweep_jars =
@@ -131,7 +130,7 @@ int main() {
   // Incremental-cache sweep: the full ysoserial component classpath (every
   // Table IX model behind one simulated JDK), analyzed cold (decode + link +
   // controllability + CPG build + snapshot publish) and then warm (content
-  // digests + snapshot load + index rebuild). The differential test suite
+  // digests + snapshot load and store decode). The differential test suite
   // proves both paths produce byte-identical exports; this measures what
   // *not doing the work* is worth. Acceptance bar: warm >= 5x faster.
   std::printf("\nIncremental cache — cold vs warm analyze, ysoserial classpath (median of 3)\n");
@@ -168,12 +167,11 @@ int main() {
     }
     std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
     auto snapshot = cache.load_snapshot(key);
-    cpg::create_standard_indexes(snapshot->db);
     return snapshot->stats;
   };
   // The frozen warm start: mmap the CSR frame, verify the snapshot header +
-  // embedded store checksum, and skip the node/edge decode and the index
-  // rebuild entirely (the frame ships sorted typed segments ready to query).
+  // embedded store checksum, and skip the node/edge decode entirely (the
+  // frame ships sorted typed segments ready to query).
   volatile std::size_t frozen_nodes = 0;  // keep the mmap'd graph observable
   auto run_warm_frozen = [&](cache::AnalysisCache& cache) {
     std::vector<std::uint64_t> digests{jdk_digest};
@@ -226,7 +224,7 @@ int main() {
                        "decode + link + analysis + CPG + snapshot publish"});
   cache_table.add_row({"warm", util::format_double(warm_median, 4),
                        util::format_double(cache_speedup, 2) + "x",
-                       "digest + snapshot load + index rebuild"});
+                       "digest + snapshot load + store decode"});
   cache_table.add_row({"warm+frozen", util::format_double(frozen_median, 4),
                        util::format_double(frozen_speedup, 2) + "x",
                        "digest + frame mmap + store verify (no graph decode)"});
@@ -251,8 +249,9 @@ int main() {
     const std::vector<std::string>& classpath = jar_paths;
 
     auto one_shot_request = [&] {
-      auto outcome = pipeline::run(classpath, pipeline::Options{});
-      graph::FrozenGraph& frame = outcome.value().frozen.value();
+      // A fresh Engine per request: nothing stays resident between them.
+      auto analysis = pipeline::Engine().open(classpath, {});
+      const graph::FrozenGraph& frame = analysis.value()->outcome().frozen.value();
       return finder::GadgetChainFinder(frame).find_all().chains.size();
     };
 
@@ -288,7 +287,7 @@ int main() {
 
     util::Table engine_table({"Path", "Time(s)", "Speedup", "What runs"});
     engine_table.add_row({"one-shot", util::format_double(one_shot_median, 4), "1.00x",
-                          "pipeline::run + finder, everything per request"});
+                          "fresh Engine open + finder, everything per request"});
     engine_table.add_row({"resident (1st open)", util::format_double(first_open, 4),
                           util::format_double(one_shot_median / first_open, 2) + "x",
                           "cold open: build + admit to the engine LRU"});

@@ -35,9 +35,8 @@ int main(int argc, char** argv) {
   std::printf("linked program: %zu classes, %zu methods\n", program.class_count(),
               program.method_count());
 
-  // Tabby's own view of the component, through the session engine (the
-  // supported embedding surface; pipeline::run remains as the one-shot
-  // compatibility wrapper).
+  // Tabby's own view of the component, through the engine (the one
+  // embedding surface, for one-shot and resident callers alike).
   pipeline::Engine engine;
   auto opened = engine.open(program);
   if (!opened.ok()) {

@@ -29,11 +29,13 @@ int main(int argc, char** argv) {
   std::printf("CPG for %s: %zu classes, %zu methods, %zu edges\n\n", component.name.c_str(),
               stats.class_nodes, stats.method_nodes, stats.relationship_edges);
 
+  bool all_ok = true;  // a failed query fails the run
   auto run = [&](const char* text) {
     std::printf("> %s\n", text);
     auto result = analysis->query(text, ctx);
     if (!result.ok()) {
       std::printf("  error: %s\n\n", result.error().to_string().c_str());
+      all_ok = false;
       return;
     }
     std::printf("%s\n", analysis->render(result.value()).c_str());
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
 
   if (argc > 1) {
     run(argv[1]);
-    return 0;
+    return all_ok ? 0 : 1;
   }
 
   // A typical audit session, narrowing step by step.
@@ -53,5 +55,5 @@ int main(int argc, char** argv) {
       "WHERE m.IS_SOURCE = true RETURN m.SIGNATURE LIMIT 5");
   run("MATCH p = (m:Method {IS_SOURCE: true})-[:CALL*1..6]->(s:Method {IS_SINK: true}) "
       "RETURN p LIMIT 3");
-  return 0;
+  return all_ok ? 0 : 1;
 }

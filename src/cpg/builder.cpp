@@ -36,17 +36,12 @@ class Builder {
     if (options_.build_alias_edges) {
       // A deadline that fired during the PCG also skips the MAG: the build is
       // already degraded, and alias BFS over a big hierarchy is not free.
-      // Indexes are still created — the finder requires them.
       if (!options_.deadline.unlimited() && options_.deadline.expired()) {
         deadline_hit_ = true;
       } else {
         TABBY_SPAN("cpg.mag");
         build_mag();
       }
-    }
-    if (options_.create_indexes) {
-      TABBY_SPAN("cpg.index");
-      create_indexes();
     }
 
     Cpg result;
@@ -352,8 +347,6 @@ class Builder {
     return out;
   }
 
-  void create_indexes() { create_standard_indexes(db_, options_.executor); }
-
   void collect_stats() {
     graph::GraphStats gs = db_.stats();
     stats_.class_nodes = gs.nodes_by_label[std::string(kClassLabel)];
@@ -383,23 +376,12 @@ class Builder {
 
 }  // namespace
 
-void create_standard_indexes(graph::GraphDb& db, util::Executor* executor) {
-  db.create_indexes({{std::string(kMethodLabel), std::string(kPropName)},
-                     {std::string(kMethodLabel), std::string(kPropClassName)},
-                     {std::string(kMethodLabel), std::string(kPropSignature)},
-                     {std::string(kMethodLabel), std::string(kPropIsSink)},
-                     {std::string(kMethodLabel), std::string(kPropIsSource)},
-                     {std::string(kClassLabel), std::string(kPropName)}},
-                    executor);
-}
-
 std::uint64_t options_fingerprint(const CpgOptions& options) {
   util::Fnv1a h;
   h.update("cpg-options-v1");
   h.update_bool(options.prune_uncontrollable_calls);
   h.update_bool(options.build_alias_edges);
   h.update_bool(options.alias_superclass_only);
-  h.update_bool(options.create_indexes);
   h.update_sized(options.jar_name);
   h.update_u64(analysis::options_fingerprint(options.analysis));
   h.update_u64(options.sinks.size());

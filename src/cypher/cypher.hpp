@@ -9,7 +9,7 @@
 //
 // Relationship patterns support both directions (-[..]->, <-[..]-, -[..]-),
 // optional types, and variable-length ranges (*, *n, *n..m, *..m). Node
-// inline property maps use index-accelerated lookup when possible.
+// inline property maps narrow the start candidates through find_nodes.
 #pragma once
 
 #include <string>

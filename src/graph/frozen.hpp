@@ -293,8 +293,8 @@ class FrozenGraph {
 
   // --- Scans (cypher candidate enumeration) --------------------------------
 
-  /// Ascending dense ids — the order GraphDb's by_label/index buckets hold
-  /// after a deserialize + create_standard_indexes round trip.
+  /// Ascending dense ids — the order GraphDb's label buckets hold, also
+  /// after a deserialize round trip.
   std::vector<NodeId> nodes_with_label(std::string_view label) const;
   /// Equality scan matching GraphDb::find_nodes semantics (value_equals).
   std::vector<NodeId> find_nodes(std::string_view label, std::string_view key,

@@ -43,17 +43,4 @@ bool value_equals(const Value& a, const Value& b) {
   return false;
 }
 
-std::string index_key(const Value& v) {
-  struct Visitor {
-    std::string operator()(std::monostate) { return "n:"; }
-    std::string operator()(bool b) { return b ? "i:1" : "i:0"; }
-    std::string operator()(std::int64_t i) { return "i:" + std::to_string(i); }
-    std::string operator()(double d) { return "d:" + util::format_double(d, 9); }
-    std::string operator()(const std::string& s) { return "s:" + s; }
-    std::string operator()(const std::vector<std::int64_t>&) { return ""; }
-    std::string operator()(const std::vector<std::string>&) { return ""; }
-  };
-  return std::visit(Visitor{}, v);
-}
-
 }  // namespace tabby::graph

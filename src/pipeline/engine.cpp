@@ -1,9 +1,11 @@
 #include "pipeline/engine.hpp"
 
+#include <exception>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
+#include "graph/serialize.hpp"
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
 #include "util/strings.hpp"
@@ -30,6 +32,250 @@ std::size_t resident_estimate(const Outcome& outcome) {
   return bytes;
 }
 
+/// The request deadline with its cancellation flag bound: what every stage
+/// of an open polls.
+util::Deadline bound_deadline(const ExecContext& ctx) {
+  util::Deadline deadline = ctx.deadline;
+  deadline.bind(ctx.cancel);
+  return deadline;
+}
+
+/// The builder knobs of an open: the defaults (the graph every snapshot key
+/// describes), run on the engine's pool under the request deadline and
+/// charged to the engine ledger.
+cpg::CpgOptions build_options(const Engine& engine, const util::Deadline& deadline) {
+  cpg::CpgOptions options;
+  options.executor = engine.executor();
+  options.deadline = deadline;
+  options.memory = engine.memory();
+  return options;
+}
+
+/// Maps a builder-level deadline cut into the run's degradation report.
+/// Strict policy turns it into the error the caller returns; quarantine
+/// records it and keeps the (structurally valid, incomplete) CPG.
+util::Status absorb_build_cut(const cpg::Cpg& cpg, FailurePolicy policy, Outcome& outcome) {
+  if (!cpg.deadline_hit) return util::Status::ok_status();
+  if (policy != FailurePolicy::kQuarantine) {
+    return util::Error{"deadline exceeded during CPG construction"};
+  }
+  outcome.degradation.deadline_hit = true;
+  if (cpg.methods_skipped > 0) {
+    outcome.degradation.add("cpg-build", "deadline",
+                            std::to_string(cpg.methods_skipped) +
+                                " method(s) left unsummarised by the deadline cut");
+  }
+  return util::Status::ok_status();
+}
+
+/// Freezes a CPG store into the CSR frame every request reads. The store
+/// is only the freeze's input; the caller drops it afterwards. A failed
+/// freeze (an injected graph.freeze fault, a graph past the dense 32-bit id
+/// space) is a run error: there is no other graph to serve.
+util::Status freeze_into(const graph::GraphDb& db, std::uint64_t content_key,
+                         util::MemoryBudget* memory, Outcome& outcome) {
+  obs::Span span("graph.freeze");
+  auto frozen = graph::FrozenGraph::freeze(db, content_key, memory);
+  if (!frozen.ok()) return util::Error{"graph freeze failed: " + frozen.error().message};
+  if (span.active()) {
+    span.attr("nodes", static_cast<std::uint64_t>(frozen.value().node_count()));
+    span.attr("bytes", static_cast<std::uint64_t>(frozen.value().frame().size()));
+  }
+  outcome.frozen = std::move(frozen.value());
+  return util::Status::ok_status();
+}
+
+/// The exact bytes `--store` writes for `db`.
+void serialize_into(const graph::GraphDb& db, Outcome& outcome) {
+  TABBY_SPAN("graph.serialize");
+  outcome.graph_bytes = graph::serialize(db);
+}
+
+/// Cold back half shared by both opens: build the CPG into `db` (the
+/// freeze's input) and, when asked, the store bytes.
+util::Status build_into(const jir::Program& program, FailurePolicy policy,
+                        const cpg::CpgOptions& cpg_options, bool with_bytes, graph::GraphDb& db,
+                        Outcome& outcome) {
+  cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
+  util::Status cut = absorb_build_cut(cpg, policy, outcome);
+  if (!cut.ok()) return cut;
+  db = std::move(cpg.db);
+  outcome.stats = cpg.stats;
+  if (with_bytes) serialize_into(db, outcome);
+  return util::Status::ok_status();
+}
+
+/// Publishes a freshly frozen frame next to its snapshot; a failed publish
+/// is a warning, never a run failure.
+void publish_frozen(cache::AnalysisCache& cache, std::uint64_t key, Outcome& outcome) {
+  auto stored = cache.store_frozen(key, *outcome.frozen);
+  if (!stored.ok()) {
+    outcome.warnings.push_back(stored.error().to_string() +
+                               " (continuing without frozen snapshot)");
+  }
+}
+
+/// The cache-aware front half of Engine::open for a classpath: warm-start
+/// from the cached frame and snapshot when they match `keyed`, otherwise
+/// load the archives in parallel, link, build and freeze the CPG and
+/// publish the snapshot and the frame. Without a cache directory this is
+/// the plain cold pipeline. A failed freeze is a run error.
+util::Result<Outcome> open_classpath(const Engine& engine,
+                                     const std::vector<std::string>& jar_paths,
+                                     const ExecContext& ctx, const OpenOptions& opts,
+                                     const ClasspathKey& keyed) {
+  obs::Span span("pipeline.run");
+  span.attr("archives", static_cast<std::uint64_t>(jar_paths.size()));
+
+  const EngineOptions& options = engine.options();
+  const bool quarantine = ctx.policy == FailurePolicy::kQuarantine;
+  const util::Deadline run_deadline = bound_deadline(ctx);
+  const util::Deadline load_deadline = run_deadline.tightened(anchor(ctx.load_budget));
+  // The builder polls the run deadline between payload batches and charges
+  // its transient batches to the engine ledger.
+  const cpg::CpgOptions cpg_options = build_options(engine, run_deadline);
+  Outcome outcome;
+
+  // Cold front half, the same with or without a cache: parallel decode and
+  // link, then (unless the deadline already expired) the CPG build. Both
+  // paths therefore degrade on exactly the same inputs.
+  std::optional<jir::Program> program;
+  auto load = [&]() -> util::Status {
+    auto loaded = load_program(jar_paths, options.with_jdk, engine.executor(), ctx.policy,
+                               &outcome.degradation, load_deadline);
+    if (!loaded.ok()) return loaded.error();
+    program = std::move(loaded.value());
+    return util::Status::ok_status();
+  };
+  bool built = false;  // false: the deadline expired before the CPG build
+  graph::GraphDb db;   // the built store: only the freeze reads it
+  auto build_cold = [&](bool with_bytes) -> util::Status {
+    util::Status status = load();
+    if (!status.ok()) return status;
+    if (run_deadline.expired()) {
+      if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
+      // The run serves, and stores, the empty graph.
+      outcome.degradation.deadline_hit = true;
+      if (with_bytes) serialize_into(db, outcome);
+      return util::Status::ok_status();
+    }
+    built = true;
+    return build_into(*program, ctx.policy, cpg_options, with_bytes, db, outcome);
+  };
+  auto finish = [&]() {
+    if (opts.need_program) outcome.program = std::move(program);
+    return std::move(outcome);
+  };
+
+  if (options.cache_dir.empty()) {
+    util::Status status = build_cold(opts.need_graph_bytes);
+    if (status.ok()) status = freeze_into(db, /*content_key=*/0, engine.memory(), outcome);
+    if (!status.ok()) return status.error();
+    return finish();
+  }
+
+  // A cache that cannot be opened is an infrastructure fault, not a broken
+  // input unit: fatal under both policies (the caller asked for caching and
+  // would otherwise silently lose it).
+  auto opened = cache::AnalysisCache::open(options.cache_dir);
+  if (!opened.ok()) return opened.error();
+  cache::AnalysisCache& cache = opened.value();
+  cache.set_memory(engine.memory());
+
+  // An undigestable archive is not in the snapshot key. Strict fails on it;
+  // quarantine looks up the snapshot of the surviving classpath (the key
+  // covers exactly those archives) and records the loss below.
+  if (!keyed.unreadable.empty()) {
+    const auto& [path, error] = keyed.unreadable.front();
+    util::Error loss{path + ": " + error.message};
+    if (!quarantine || keyed.digested.empty()) return loss;
+  }
+  const std::uint64_t key = keyed.key;
+
+  // Frame-first warm start: mmap the cached CSR frame when one matches. The
+  // sibling .tsnp stays the source of truth — a frame hit still requires it
+  // intact (stats + the exact store bytes), but lets load_snapshot skip the
+  // graph decode. A missing or corrupt frame makes the snapshot decode its
+  // store to re-freeze; a frame without an intact snapshot is an orphan and
+  // is ignored.
+  std::string corrupt_reason;
+  std::optional<graph::FrozenGraph> warm_frozen = cache.load_frozen(key, &corrupt_reason);
+  if (!corrupt_reason.empty()) {
+    outcome.warnings.push_back("cached frozen graph rejected: " + corrupt_reason +
+                               " (re-freezing from the graph store)");
+  }
+  std::optional<cache::CachedCpg> snapshot =
+      cache.load_snapshot(key, /*need_db=*/!warm_frozen.has_value());
+  outcome.cache_line = cache.stats().to_line();
+
+  if (!snapshot.has_value()) {
+    util::Status status = build_cold(/*with_bytes=*/true);
+    if (!status.ok()) return status.error();
+    bool snapshot_published = false;
+    if (built && (outcome.degradation.degraded() || !keyed.unreadable.empty())) {
+      // Never publish a degraded CPG: the snapshot key describes the
+      // on-disk classpath, and a later repaired run with the same bytes
+      // must not warm-start from the holes.
+      outcome.warnings.push_back("snapshot not published (degraded run)");
+    } else if (built) {
+      auto stored = cache.store_snapshot(key, outcome.stats, outcome.graph_bytes);
+      if (stored.ok()) {
+        snapshot_published = true;
+      } else {
+        outcome.warnings.push_back(stored.error().to_string() + " (continuing without snapshot)");
+      }
+    }
+    // The frame is only ever published next to its intact snapshot (a
+    // companion-less .tfzn is an orphan the warm path would ignore anyway).
+    status = freeze_into(db, key, engine.memory(), outcome);
+    if (!status.ok()) return status.error();
+    if (snapshot_published) publish_frozen(cache, key, outcome);
+    return finish();
+  }
+
+  if (opts.need_program) {
+    // The snapshot has the graph; only the program is loaded (and linked).
+    util::Status status = load();
+    if (!status.ok()) return status.error();
+  } else {
+    // Nothing is read, so the undigestable archives are recorded here.
+    for (const auto& [path, error] : keyed.unreadable) {
+      outcome.degradation.add(path, "fs-read", error.message);
+      obs::counter_add("pipeline.units_quarantined");
+    }
+  }
+  outcome.stats = snapshot->stats;
+  outcome.graph_bytes = std::move(snapshot->graph_bytes);
+  outcome.warm = true;
+  if (warm_frozen.has_value()) {
+    outcome.frozen = std::move(warm_frozen);
+  } else {
+    // The frame was absent or corrupt: re-freeze from the decoded store and
+    // republish so the cache self-heals.
+    util::Status status = freeze_into(snapshot->db, key, engine.memory(), outcome);
+    if (!status.ok()) return status.error();
+    publish_frozen(cache, key, outcome);
+  }
+  return finish();
+}
+
+/// The front half of Engine::open for a linked program: build and freeze
+/// its CPG (no archives, no cache). A deadline cut is absorbed as
+/// degradation whatever the policy; the only error is a failed freeze.
+util::Result<Outcome> open_program(const Engine& engine, const jir::Program& program,
+                                   const ExecContext& ctx, const OpenOptions& opts) {
+  obs::Span span("pipeline.run");
+  Outcome outcome;
+  graph::GraphDb db;
+  (void)build_into(program, FailurePolicy::kQuarantine,
+                   build_options(engine, bound_deadline(ctx)), opts.need_graph_bytes, db,
+                   outcome);
+  util::Status frozen = freeze_into(db, /*content_key=*/0, engine.memory(), outcome);
+  if (!frozen.ok()) return frozen.error();
+  if (opts.need_program) outcome.program = program;
+  return outcome;
+}
+
 }  // namespace
 
 bool is_over_capacity(const util::Error& error) {
@@ -45,9 +291,7 @@ FindResult Analysis::find(const ExecContext& ctx) const {
   options.executor = executor_;
   // The finder races whatever is left of the request budget, tightened with
   // its own phase budget anchored now, at finder start.
-  util::Deadline deadline = ctx.deadline;
-  deadline.bind(ctx.cancel);
-  options.deadline = deadline.tightened(anchor(ctx.finder_budget));
+  options.deadline = bound_deadline(ctx).tightened(anchor(ctx.finder_budget));
   options.frontier_byte_pool = ctx.frontier_byte_pool;
   options.memory = memory_;
   options.dist.workers = ctx.workers;
@@ -71,9 +315,7 @@ FindResult Analysis::find(const ExecContext& ctx) const {
   // whenever --verify is set.
   if (ctx.verify && outcome_.program.has_value()) {
     finder::VerifyOptions vopts;
-    util::Deadline verify_deadline = ctx.deadline;
-    verify_deadline.bind(ctx.cancel);
-    vopts.deadline = verify_deadline.tightened(anchor(ctx.verify_budget));
+    vopts.deadline = bound_deadline(ctx).tightened(anchor(ctx.verify_budget));
     vopts.executor = executor_;
     vopts.memory = memory_;
     vopts.dist.workers = ctx.verify_workers;
@@ -142,7 +384,7 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   }
   if (!options_.cache_dir.empty()) {
     // Best-effort: an unopenable cache directory disables verdict caching
-    // without failing engine construction (run() reports the real error on
+    // without failing engine construction (open() reports the real error on
     // the snapshot path).
     auto cache = cache::AnalysisCache::open(options_.cache_dir);
     if (cache.ok()) {
@@ -211,19 +453,17 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
     }
   }
 
-  Options options;
-  options.with_jdk = options_.with_jdk;
-  options.cache_dir = options_.cache_dir;
-  options.need_program = opts.need_program;
-  options.need_graph_bytes = opts.need_graph_bytes;
-  options.executor = pool_.get();
-  options.policy = ctx.policy;
-  options.deadline = ctx.deadline;
-  options.load_deadline = anchor(ctx.load_budget);
-  options.cancel = ctx.cancel;
-  options.memory = budget_.get();
-
-  auto outcome = run(jar_paths, options, keyed);
+  // The fail-soft contract is "structured Result, never a crash": stray
+  // exceptions (worker-task faults surfaced by Executor::parallel_for,
+  // injected pool.task failpoints) become errors here instead of unwinding
+  // through the caller.
+  auto outcome = [&]() -> util::Result<Outcome> {
+    try {
+      return open_classpath(*this, jar_paths, ctx, opts, keyed);
+    } catch (const std::exception& e) {
+      return util::Error{std::string("pipeline: unhandled exception: ") + e.what()};
+    }
+  }();
   if (!outcome.ok()) return outcome.error();
 
   auto analysis = std::shared_ptr<Analysis>(new Analysis());
@@ -301,15 +541,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
 util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecContext& ctx,
                                        const OpenOptions& opts) {
   obs::Span span("engine.open");
-  Options options;
-  options.with_jdk = options_.with_jdk;
-  options.need_program = opts.need_program;
-  options.executor = pool_.get();
-  options.policy = ctx.policy;
-  options.deadline = ctx.deadline;
-  options.cancel = ctx.cancel;
-  options.memory = budget_.get();
-  auto outcome = run(program, options);
+  auto outcome = open_program(*this, program, ctx, opts);
   if (!outcome.ok()) return outcome.error();
   auto analysis = std::shared_ptr<Analysis>(new Analysis());
   analysis->outcome_ = std::move(outcome.value());

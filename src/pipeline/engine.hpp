@@ -1,7 +1,7 @@
-// The session-oriented engine API — the resident counterpart of the one-shot
-// pipeline::run facade, and the supported embedding surface for anything that
-// issues more than one request against the same classpath (the `tabby serve`
-// daemon, the examples, long-lived audit tooling).
+// The engine API — the one way to turn a classpath (or a linked program)
+// into a queryable CPG, for one-shot callers (the CLI, the examples, a
+// single audit) and for anything that issues many requests against the same
+// classpath (the `tabby serve` daemon, long-lived audit tooling) alike.
 //
 //   Engine   owns the process-scale machinery a serving deployment shares
 //            across requests: the --jobs worker pool, the global
@@ -32,9 +32,8 @@
 // process. Evictions invoke EngineOptions::on_evict (the Katana
 // tsuba/Cache.h residency pattern) so a server can count and log them.
 //
-// pipeline::run stays available as the one-shot compatibility wrapper; every
-// result an Engine produces is byte-identical to the equivalent run() +
-// finder/cypher calls at any --jobs count.
+// Every result an Engine produces is byte-identical at any --jobs count,
+// cold or warm, resident or freshly opened.
 #pragma once
 
 #include <chrono>
@@ -149,7 +148,10 @@ struct EngineOptions {
   std::string cache_dir;
   /// Global byte budget (0 = ungoverned). Bounds residency: opens that
   /// cannot fit after LRU eviction fail over-capacity. Also threaded into
-  /// builder/cache/finder telemetry exactly like pipeline::Options::memory.
+  /// builder/cache/finder telemetry: the builder's payload batches, the
+  /// cache's snapshot buffers and the finder's frontier charge it. The ledger
+  /// is telemetry plus shard caps derived from its cap(); no stage ever gates
+  /// on its live total, which keeps output bit-identical at any --jobs count.
   std::size_t memory_budget_bytes = 0;
   /// Maximum resident analyses (0 = unlimited count; bytes still governed).
   std::size_t max_resident = 0;
@@ -264,8 +266,10 @@ class Engine {
   /// Opens (or returns the resident) analysis for a classpath of .tjar
   /// files. A resident hit touches the LRU and costs no I/O beyond the
   /// digest reads that key the lookup. A miss runs the full cache-aware
-  /// pipeline (pipeline::run, handed the same key, so an open digests the
-  /// classpath once) on the engine's pool, then admits the result:
+  /// pipeline on the engine's pool — digest the classpath once, warm-start
+  /// from the cached frame and snapshot when they match, otherwise decode,
+  /// link, build and freeze the CPG and publish the snapshot and the frame
+  /// (a failed freeze is an error) — then admits the result:
   /// under a bounded budget, idle LRU analyses are evicted to make room and
   /// an analysis that still cannot fit fails with an over-capacity error.
   util::Result<AnalysisPtr> open(const std::vector<std::string>& jar_paths,
@@ -273,7 +277,8 @@ class Engine {
 
   /// In-memory variant for embedding callers that already hold a linked
   /// program (the examples): builds the CPG on the engine's pool and wraps
-  /// it in a non-resident Analysis (no fingerprint, no LRU entry). Fails
+  /// it in a non-resident Analysis (no fingerprint, no LRU entry). A
+  /// deadline cut is absorbed as degradation whatever ctx.policy says; fails
   /// only when the freeze does.
   util::Result<AnalysisPtr> open(const jir::Program& program, const ExecContext& ctx = {},
                                  const OpenOptions& opts = {});

@@ -23,7 +23,6 @@ constexpr const char* kSites[] = {
     "fs.read",                 // any file read feeding the pipeline
     "graph.deserialize",       // graph store / snapshot blob decode
     "graph.freeze",            // building the frozen CSR snapshot
-    "graph.index.rebuild",     // (re)creating label/property indexes
     "jar.decode",              // TJAR archive decode
     "pool.task",               // ThreadPool parallel_for task body
     "runtime.step",            // one interpreter step (verify VM infrastructure fault)

@@ -5,11 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/domain.hpp"
-#include <filesystem>
-#include <fstream>
-
 #include "cpg/builder.hpp"
-#include "cpg/export.hpp"
 #include "cpg/schema.hpp"
 #include "cpg/sinks.hpp"
 #include "fixtures.hpp"
@@ -263,55 +259,6 @@ TEST(CpgOptionsTest, EvilObjectGraphShape) {
       db.edge(in_calls[0]).prop(std::string(kPropPollutedPosition)));
   ASSERT_NE(pp, nullptr);
   EXPECT_EQ((*pp)[1], 0);  // cmd comes from this.val2
-}
-
-
-// --- CSV export (neo4j-admin bulk import layout) -------------------------------
-
-TEST(CsvExport, WritesThreeFilesWithCorrectCounts) {
-  jir::Program p = testing::urldns_program();
-  Cpg cpg = build_cpg(p);
-  auto dir = std::filesystem::temp_directory_path() / "tabby_csv_test";
-  std::filesystem::remove_all(dir);
-
-  auto stats = export_csv(cpg.db, dir);
-  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_EQ(stats.value().class_rows, cpg.stats.class_nodes);
-  EXPECT_EQ(stats.value().method_rows, cpg.stats.method_nodes);
-  EXPECT_EQ(stats.value().relationship_rows, cpg.stats.relationship_edges);
-
-  // Line counts = rows + header.
-  auto count_lines = [](const std::filesystem::path& file) {
-    std::ifstream in(file);
-    std::string line;
-    std::size_t n = 0;
-    while (std::getline(in, line)) ++n;
-    return n;
-  };
-  EXPECT_EQ(count_lines(dir / "CLASSES.csv"), cpg.stats.class_nodes + 1);
-  EXPECT_EQ(count_lines(dir / "METHODS.csv"), cpg.stats.method_nodes + 1);
-  EXPECT_EQ(count_lines(dir / "RELATIONSHIPS.csv"), cpg.stats.relationship_edges + 1);
-
-  // Spot check: the sink row carries its type and trigger condition.
-  std::ifstream methods(dir / "METHODS.csv");
-  std::string line;
-  bool sink_row_found = false;
-  while (std::getline(methods, line)) {
-    if (line.find("java.net.InetAddress#getByName/1") != std::string::npos) {
-      EXPECT_NE(line.find("SSRF"), std::string::npos);
-      EXPECT_NE(line.find("[1]"), std::string::npos);
-      sink_row_found = true;
-    }
-  }
-  EXPECT_TRUE(sink_row_found);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CsvExport, BadDirectoryFails) {
-  jir::Program p = testing::urldns_program();
-  Cpg cpg = build_cpg(p);
-  auto result = export_csv(cpg.db, "/proc/definitely/not/writable");
-  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace

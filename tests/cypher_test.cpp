@@ -28,7 +28,6 @@ GraphDb sample_graph() {
   db.add_edge(b, c, "KNOWS");
   db.add_edge(c, d, "KNOWS");
   db.add_edge(a, c, "WORKS_WITH");
-  db.create_index("Person", "NAME");
   return db;
 }
 

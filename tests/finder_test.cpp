@@ -1,6 +1,8 @@
 // Tests for gadget-chain finding (§III-D): the URLDNS chain end to end, the
 // Figure 1 EvilObject chain, Trigger_Condition rejection, alias dead-ends
-// (EnumMap), depth limits, and the Figure 6 exclusion example.
+// (EnumMap), depth limits, and the Figure 6 exclusion example. Each search
+// runs over the builder's GraphDb (the reference) and over its frozen CSR
+// frame (what every product request reads), and the two must agree.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,6 +11,7 @@
 #include "cpg/schema.hpp"
 #include "finder/finder.hpp"
 #include "fixtures.hpp"
+#include "graph/frozen.hpp"
 
 namespace tabby::finder {
 namespace {
@@ -23,11 +26,30 @@ NodeId node_by_signature(const graph::GraphDb& db, const std::string& sig) {
   return hits.empty() ? graph::kNoNode : hits[0];
 }
 
+/// Searches `db` and its frozen frame with the same options, expects the
+/// same chains (keys, in order), expansions and partial sinks from both, and
+/// returns the frame's report.
+FinderReport find_both(const graph::GraphDb& db, const FinderOptions& options = {}) {
+  FinderReport reference = GadgetChainFinder(db, options).find_all();
+  auto frozen = graph::FrozenGraph::freeze(db);
+  EXPECT_TRUE(frozen.ok()) << frozen.error().to_string();
+  if (!frozen.ok()) return reference;
+  FinderReport report = GadgetChainFinder(frozen.value(), options).find_all();
+  auto keys = [](const FinderReport& r) {
+    std::vector<std::string> out;
+    for (const GadgetChain& chain : r.chains) out.push_back(chain.key());
+    return out;
+  };
+  EXPECT_EQ(keys(report), keys(reference));
+  EXPECT_EQ(report.expansions, reference.expansions);
+  EXPECT_EQ(report.partial_sinks.size(), reference.partial_sinks.size());
+  return report;
+}
+
 TEST(Finder, FindsTheUrldnsChain) {
   jir::Program p = testing::urldns_program();
   cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
-  FinderReport report = finder.find_all();
+  FinderReport report = find_both(cpg.db);
 
   ASSERT_EQ(report.chains.size(), 1u);
   const GadgetChain& chain = report.chains[0];
@@ -52,8 +74,7 @@ TEST(Finder, EnumMapDeadEndProducesNoExtraChain) {
   // the paper's motivation for sink-to-source search.
   jir::Program p = testing::urldns_program();
   cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
-  for (const GadgetChain& chain : finder.find_all().chains) {
+  for (const GadgetChain& chain : find_both(cpg.db).chains) {
     for (const std::string& sig : chain.signatures) {
       EXPECT_EQ(sig.find("EnumMap"), std::string::npos);
     }
@@ -63,8 +84,7 @@ TEST(Finder, EnumMapDeadEndProducesNoExtraChain) {
 TEST(Finder, FindsEvilObjectChain) {
   jir::Program p = testing::evil_object_program();
   cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
-  FinderReport report = finder.find_all();
+  FinderReport report = find_both(cpg.db);
 
   ASSERT_GE(report.chains.size(), 1u);
   bool found = false;
@@ -81,8 +101,7 @@ TEST(Finder, FindsEvilObjectChain) {
 TEST(Finder, ChainToStringShowsSourceAndSink) {
   jir::Program p = testing::urldns_program();
   cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
-  auto chains = finder.find_all().chains;
+  auto chains = find_both(cpg.db).chains;
   ASSERT_FALSE(chains.empty());
   std::string text = chains[0].to_string();
   EXPECT_NE(text.find("(source)java.util.HashMap#readObject/1"), std::string::npos);
@@ -94,12 +113,10 @@ TEST(Finder, DepthLimitCutsLongChains) {
   cpg::Cpg cpg = cpg::build_cpg(p);
   FinderOptions options;
   options.max_depth = 3;  // the URLDNS chain needs 6 hops
-  GadgetChainFinder finder(cpg.db, options);
-  EXPECT_TRUE(finder.find_all().chains.empty());
+  EXPECT_TRUE(find_both(cpg.db, options).chains.empty());
 
   options.max_depth = 6;
-  GadgetChainFinder wider(cpg.db, options);
-  EXPECT_EQ(wider.find_all().chains.size(), 1u);
+  EXPECT_EQ(find_both(cpg.db, options).chains.size(), 1u);
 }
 
 TEST(Finder, WithoutAliasEdgesPolymorphicChainIsLost) {
@@ -107,8 +124,7 @@ TEST(Finder, WithoutAliasEdgesPolymorphicChainIsLost) {
   cpg::Cpg cpg = cpg::build_cpg(p);
   FinderOptions options;
   options.use_alias_edges = false;
-  GadgetChainFinder finder(cpg.db, options);
-  EXPECT_TRUE(finder.find_all().chains.empty());
+  EXPECT_TRUE(find_both(cpg.db, options).chains.empty());
 }
 
 TEST(Finder, TriggerConditionRejectsUncontrollableArgument) {
@@ -134,15 +150,13 @@ TEST(Finder, TriggerConditionRejectsUncontrollableArgument) {
   cpg::CpgOptions options;
   options.prune_uncontrollable_calls = false;
   cpg::Cpg cpg = cpg::build_cpg(p, options);
-  GadgetChainFinder finder(cpg.db);
-  EXPECT_TRUE(finder.find_all().chains.empty());
+  EXPECT_TRUE(find_both(cpg.db).chains.empty());
 
   // Sanity: with TC checking disabled the path is "found" (a false
   // positive) — the Serianalyzer failure mode.
   FinderOptions loose;
   loose.check_trigger_conditions = false;
-  GadgetChainFinder sloppy(cpg.db, loose);
-  EXPECT_EQ(sloppy.find_all().chains.size(), 1u);
+  EXPECT_EQ(find_both(cpg.db, loose).chains.size(), 1u);
 }
 
 TEST(Finder, CustomSourcePredicate) {
@@ -161,8 +175,7 @@ TEST(Finder, CustomSourcePredicate) {
 TEST(Finder, DeduplicatesIdenticalChains) {
   jir::Program p = testing::urldns_program();
   cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
-  auto report = finder.find_all();
+  auto report = find_both(cpg.db);
   std::set<std::string> keys;
   for (const GadgetChain& c : report.chains) keys.insert(c.key());
   EXPECT_EQ(keys.size(), report.chains.size());
@@ -213,25 +226,19 @@ TEST(Figure6, ExpanderAndEvaluatorExclusions) {
   call(g1, c2, {0, 1});               // long detour to G
   call(g, g1, {0, 1});
 
-  db.create_index(std::string(cpg::kMethodLabel), std::string(cpg::kPropIsSink));
-
   FinderOptions options;
   // The paper's plugin walks ALIAS edges in both directions (C -> C1).
   options.alias_bidirectional = true;
   options.max_depth = 3;  // path H -> C2 -> C -> A fits; G's detour does not
-  GadgetChainFinder finder(db, options);
-  auto report = finder.find_all();
+  auto report = find_both(db, options);
   ASSERT_EQ(report.chains.size(), 1u);
   EXPECT_EQ(report.chains[0].signatures.front(), "fig6#H/0");
   // Raising the depth admits G as well.
   options.max_depth = 6;
-  GadgetChainFinder deeper(db, options);
-  EXPECT_EQ(deeper.find_all().chains.size(), 2u);
+  EXPECT_EQ(find_both(db, options).chains.size(), 2u);
   // Default (forward-only alias) finds neither: the CALL edges here target
   // the subclass declarations C1/C2 directly.
-  FinderOptions forward_only;
-  GadgetChainFinder strict(db, forward_only);
-  EXPECT_TRUE(strict.find_all().chains.empty());
+  EXPECT_TRUE(find_both(db).chains.empty());
 }
 
 TEST(Finder, ExpiredDeadlineMarksEverySinkPartial) {
@@ -239,8 +246,7 @@ TEST(Finder, ExpiredDeadlineMarksEverySinkPartial) {
   cpg::Cpg cpg = cpg::build_cpg(p);
   FinderOptions options;
   options.deadline = util::Deadline::after(std::chrono::milliseconds{0});
-  GadgetChainFinder finder(cpg.db, options);
-  FinderReport report = finder.find_all();
+  FinderReport report = find_both(cpg.db, options);
   EXPECT_TRUE(report.partial());
   EXPECT_EQ(report.partial_sinks.size(), report.sinks_considered);
   EXPECT_TRUE(report.chains.empty());  // nothing expanded, nothing invented
@@ -254,8 +260,8 @@ TEST(Finder, GenerousDeadlineLeavesTheReportIdentical) {
   cpg::Cpg cpg = cpg::build_cpg(p);
   FinderOptions bounded;
   bounded.deadline = util::Deadline::after(std::chrono::hours{1});
-  FinderReport with = GadgetChainFinder(cpg.db, bounded).find_all();
-  FinderReport without = GadgetChainFinder(cpg.db).find_all();
+  FinderReport with = find_both(cpg.db, bounded);
+  FinderReport without = find_both(cpg.db);
   EXPECT_FALSE(with.partial());
   ASSERT_EQ(with.chains.size(), without.chains.size());
   for (std::size_t i = 0; i < with.chains.size(); ++i) {
@@ -270,7 +276,7 @@ TEST(Finder, CancelTokenCutsTheSearchShort) {
   token.cancel();
   FinderOptions options;
   options.deadline.bind(&token);
-  FinderReport report = GadgetChainFinder(cpg.db, options).find_all();
+  FinderReport report = find_both(cpg.db, options);
   EXPECT_TRUE(report.partial());
 }
 

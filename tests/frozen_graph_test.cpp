@@ -27,7 +27,7 @@
 #include "graph/graph.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/engine.hpp"
 #include "support/random_graph.hpp"
 #include "util/digest.hpp"
 #include "util/failpoint.hpp"
@@ -460,23 +460,29 @@ TEST_F(FrozenCacheFixture, AuditSeesFrozenFramesAndPrunesOrphans) {
 }
 
 TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
-  pipeline::Options options;
-  options.cache_dir = cache_dir_;
-  auto cold = pipeline::run({jar_}, options);
-  ASSERT_TRUE(cold.ok()) << cold.error().message;
-  EXPECT_FALSE(cold.value().warm);
-  ASSERT_TRUE(cold.value().frozen.has_value());
-  EXPECT_FALSE(cold.value().frozen->mapped());  // frozen in memory from the build
+  // Each open runs on a fresh Engine, so nothing is resident between them.
+  auto open = [&] {
+    pipeline::EngineOptions options;
+    options.cache_dir = cache_dir_;
+    return pipeline::Engine(options).open({jar_}, {});
+  };
+  auto cold_open = open();
+  ASSERT_TRUE(cold_open.ok()) << cold_open.error().message;
+  const pipeline::Outcome& cold = cold_open.value()->outcome();
+  EXPECT_FALSE(cold.warm);
+  ASSERT_TRUE(cold.frozen.has_value());
+  EXPECT_FALSE(cold.frozen->mapped());  // frozen in memory from the build
 
-  auto warm = pipeline::run({jar_}, options);
-  ASSERT_TRUE(warm.ok()) << warm.error().message;
-  EXPECT_TRUE(warm.value().warm);
-  ASSERT_TRUE(warm.value().frozen.has_value());
-  EXPECT_TRUE(warm.value().frozen->mapped());  // the cached frame, attached
+  auto warm_open = open();
+  ASSERT_TRUE(warm_open.ok()) << warm_open.error().message;
+  const pipeline::Outcome& warm = warm_open.value()->outcome();
+  EXPECT_TRUE(warm.warm);
+  ASSERT_TRUE(warm.frozen.has_value());
+  EXPECT_TRUE(warm.frozen->mapped());  // the cached frame, attached
   // The graph bytes still carry the verified store blob, and the attached
   // frame is the cold run's freeze, bit for bit.
-  EXPECT_EQ(warm.value().graph_bytes, cold.value().graph_bytes);
-  EXPECT_TRUE(std::ranges::equal(warm.value().frozen->frame(), cold.value().frozen->frame()));
+  EXPECT_EQ(warm.graph_bytes, cold.graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(warm.frozen->frame(), cold.frozen->frame()));
 
   // Corrupt the cached frame: the next warm run re-freezes from the store
   // decode with a warning — and self-heals by republishing a fresh frame.
@@ -485,14 +491,15 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   std::vector<char> before(fs::file_size(frames[0]));
   std::ifstream(frames[0], std::ios::binary).read(before.data(), before.size());
   flip_byte(frames[0], fs::file_size(frames[0]) - 3);
-  auto healed = pipeline::run({jar_}, options);
-  ASSERT_TRUE(healed.ok()) << healed.error().message;
-  EXPECT_TRUE(healed.value().warm);
-  ASSERT_TRUE(healed.value().frozen.has_value());
-  EXPECT_FALSE(healed.value().frozen->mapped());  // re-frozen, not attached
-  EXPECT_TRUE(std::ranges::equal(healed.value().frozen->frame(), cold.value().frozen->frame()));
+  auto healed_open = open();
+  ASSERT_TRUE(healed_open.ok()) << healed_open.error().message;
+  const pipeline::Outcome& healed = healed_open.value()->outcome();
+  EXPECT_TRUE(healed.warm);
+  ASSERT_TRUE(healed.frozen.has_value());
+  EXPECT_FALSE(healed.frozen->mapped());  // re-frozen, not attached
+  EXPECT_TRUE(std::ranges::equal(healed.frozen->frame(), cold.frozen->frame()));
   bool warned = false;
-  for (const auto& warning : healed.value().warnings)
+  for (const auto& warning : healed.warnings)
     warned |= warning.find("frozen") != std::string::npos;
   EXPECT_TRUE(warned);
   std::vector<char> after(fs::file_size(frames[0]));
@@ -503,7 +510,7 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
 TEST_F(FrozenCacheFixture, FailedFreezeIsARunError) {
   util::failpoint::arm();
   util::failpoint::activate("graph.freeze");
-  auto cold = pipeline::run({jar_}, pipeline::Options{});
+  auto cold = pipeline::Engine().open({jar_}, {});
   util::failpoint::disarm();
   ASSERT_FALSE(cold.ok());
   EXPECT_NE(cold.error().message.find("graph freeze failed"), std::string::npos)

@@ -1,5 +1,5 @@
 // Tests for the embedded property-graph store and traversal framework: CRUD,
-// adjacency, indexes, tombstones, persistence round trips and the
+// adjacency, equality lookups, tombstones, persistence round trips and the
 // Expander/Evaluator engine with all uniqueness modes.
 #include <gtest/gtest.h>
 
@@ -84,18 +84,17 @@ TEST(Graph, IndexLookupMatchesScan) {
   for (int i = 0; i < 100; ++i) {
     db.add_node("Method", {{"NAME", Value{std::string("m") + std::to_string(i % 10)}}});
   }
-  // Scan before index.
-  auto scanned = db.find_nodes("Method", "NAME", Value{std::string("m3")});
-  db.create_index("Method", "NAME");
-  auto indexed = db.find_nodes("Method", "NAME", Value{std::string("m3")});
-  EXPECT_EQ(scanned, indexed);
-  EXPECT_EQ(indexed.size(), 10u);
-  EXPECT_TRUE(db.has_index("Method", "NAME"));
+  std::vector<NodeId> scanned;
+  db.for_each_node([&](const Node& n) {
+    if (n.prop_string("NAME") == "m3") scanned.push_back(n.id);
+  });
+  auto found = db.find_nodes("Method", "NAME", Value{std::string("m3")});
+  EXPECT_EQ(scanned, found);  // every match, in ascending id order
+  EXPECT_EQ(found.size(), 10u);
 }
 
 TEST(Graph, IndexStaysInSyncWithPropertyUpdates) {
   GraphDb db;
-  db.create_index("Method", "NAME");
   NodeId n = db.add_node("Method", {{"NAME", Value{std::string("before")}}});
   EXPECT_EQ(db.find_nodes("Method", "NAME", Value{std::string("before")}).size(), 1u);
   db.set_node_prop(n, "NAME", Value{std::string("after")});
@@ -105,7 +104,6 @@ TEST(Graph, IndexStaysInSyncWithPropertyUpdates) {
 
 TEST(Graph, IndexIgnoresRemovedNodes) {
   GraphDb db;
-  db.create_index("X", "K");
   NodeId n = db.add_node("X", {{"K", Value{std::int64_t{5}}}});
   db.remove_node(n);
   EXPECT_TRUE(db.find_nodes("X", "K", Value{std::int64_t{5}}).empty());
@@ -113,7 +111,6 @@ TEST(Graph, IndexIgnoresRemovedNodes) {
 
 TEST(Graph, BoolAndIntIndexKeysCompatible) {
   GraphDb db;
-  db.create_index("X", "FLAG");
   db.add_node("X", {{"FLAG", Value{true}}});
   EXPECT_EQ(db.find_nodes("X", "FLAG", Value{true}).size(), 1u);
   EXPECT_TRUE(db.find_nodes("X", "FLAG", Value{false}).empty());

@@ -221,7 +221,7 @@ TEST(ObsPipeline, CpgCountersMatchCpgStats) {
 
   // The build phases all recorded spans nested under cpg.build.
   EXPECT_GT(report.total_seconds("cpg.build"), 0.0);
-  for (const char* phase : {"cpg.org", "cpg.pcg", "cpg.mag", "cpg.index"}) {
+  for (const char* phase : {"cpg.org", "cpg.pcg", "cpg.mag"}) {
     bool found = false;
     for (const SpanRecord& span : report.spans) found |= span.name == phase;
     EXPECT_TRUE(found) << phase;

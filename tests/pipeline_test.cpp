@@ -1,6 +1,8 @@
-// Tests for the public pipeline facade (src/pipeline): structured errors,
-// cold builds, cache warm/cold equivalence and the in-memory overload — the
-// library-level contract the CLI and the examples are thin callers of.
+// Tests for the pipeline front half behind Engine::open (src/pipeline):
+// structured errors, cold builds, cache warm/cold equivalence and the
+// in-memory overload — the library-level contract the CLI and the examples
+// are thin callers of. Each open runs on a fresh Engine, so nothing is
+// resident between calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,12 +16,20 @@
 #include "cpg/builder.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/engine.hpp"
 
 namespace tabby::pipeline {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// One open of `jars` on a fresh Engine: the one-shot way in.
+util::Result<AnalysisPtr> open_once(const std::vector<std::string>& jars,
+                                    EngineOptions engine_options = {},
+                                    const ExecContext& ctx = {}, const OpenOptions& opts = {}) {
+  Engine engine(std::move(engine_options));
+  return engine.open(jars, ctx, opts);
+}
 
 class PipelineFixture : public ::testing::Test {
  protected:
@@ -45,16 +55,17 @@ TEST(Pipeline, LoadProgramReportsTheOffendingPath) {
 }
 
 TEST(Pipeline, RunReportsTheOffendingPathWithAndWithoutCache) {
-  Options options;
-  auto cold = run({"/no/such/archive.tjar"}, options);
+  auto cold = open_once({"/no/such/archive.tjar"});
   ASSERT_FALSE(cold.ok());
   EXPECT_NE(cold.error().message.find("/no/such/archive.tjar"), std::string::npos);
 
-  options.cache_dir = (fs::temp_directory_path() / "tabby_pipeline_test_cache_err").string();
-  auto cached = run({"/no/such/archive.tjar"}, options);
+  EngineOptions cached_options;
+  cached_options.cache_dir =
+      (fs::temp_directory_path() / "tabby_pipeline_test_cache_err").string();
+  auto cached = open_once({"/no/such/archive.tjar"}, cached_options);
   ASSERT_FALSE(cached.ok());
   EXPECT_NE(cached.error().message.find("/no/such/archive.tjar"), std::string::npos);
-  fs::remove_all(options.cache_dir);
+  fs::remove_all(cached_options.cache_dir);
 }
 
 TEST_F(PipelineFixture, LoadProgramLinksTheClasspath) {
@@ -64,10 +75,9 @@ TEST_F(PipelineFixture, LoadProgramLinksTheClasspath) {
 }
 
 TEST_F(PipelineFixture, ColdRunBuildsACpg) {
-  Options options;
-  auto result = run({jar_path_}, options);
+  auto result = open_once({jar_path_});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const Outcome& outcome = result.value();
+  const Outcome& outcome = result.value()->outcome();
   EXPECT_FALSE(outcome.warm);
   EXPECT_GT(outcome.stats.class_nodes, 0u);
   EXPECT_GT(outcome.stats.sink_methods, 0u);
@@ -79,69 +89,75 @@ TEST_F(PipelineFixture, ColdRunBuildsACpg) {
 }
 
 TEST_F(PipelineFixture, GraphBytesAreTheExactStoreSerialization) {
-  Options options;
-  options.need_graph_bytes = true;
-  auto result = run({jar_path_}, options);
+  OpenOptions opts;
+  opts.need_graph_bytes = true;
+  auto result = open_once({jar_path_}, {}, {}, opts);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   auto program = load_program({jar_path_}, /*with_jdk=*/true);
   ASSERT_TRUE(program.ok()) << program.error().to_string();
-  EXPECT_EQ(result.value().graph_bytes, graph::serialize(cpg::build_cpg(program.value()).db));
+  EXPECT_EQ(result.value()->outcome().graph_bytes,
+            graph::serialize(cpg::build_cpg(program.value()).db));
 }
 
 TEST_F(PipelineFixture, NeedProgramKeepsTheLinkedProgram) {
-  Options options;
-  options.need_program = true;
-  auto result = run({jar_path_}, options);
+  OpenOptions opts;
+  opts.need_program = true;
+  auto result = open_once({jar_path_}, {}, {}, opts);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  ASSERT_TRUE(result.value().program.has_value());
-  EXPECT_GT(result.value().program->class_count(), 0u);
+  ASSERT_TRUE(result.value()->outcome().program.has_value());
+  EXPECT_GT(result.value()->outcome().program->class_count(), 0u);
 }
 
 TEST_F(PipelineFixture, WarmRunIsByteIdenticalToCold) {
-  Options options;
+  EngineOptions options;
   options.cache_dir = path("cache");
 
-  auto cold = run({jar_path_}, options);
+  auto cold = open_once({jar_path_}, options);
   ASSERT_TRUE(cold.ok()) << cold.error().to_string();
-  EXPECT_FALSE(cold.value().warm);
-  EXPECT_NE(cold.value().cache_line.find("snapshot miss"), std::string::npos);
-  ASSERT_FALSE(cold.value().graph_bytes.empty());  // cache runs embed the store
+  const Outcome& c = cold.value()->outcome();
+  EXPECT_FALSE(c.warm);
+  EXPECT_NE(c.cache_line.find("snapshot miss"), std::string::npos);
+  ASSERT_FALSE(c.graph_bytes.empty());  // cache runs embed the store
 
-  auto warm = run({jar_path_}, options);
+  auto warm = open_once({jar_path_}, options);
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
-  EXPECT_TRUE(warm.value().warm);
-  EXPECT_NE(warm.value().cache_line.find("snapshot hit"), std::string::npos);
-  EXPECT_EQ(cold.value().graph_bytes, warm.value().graph_bytes);
-  EXPECT_EQ(cold.value().stats.class_nodes, warm.value().stats.class_nodes);
-  EXPECT_EQ(cold.value().stats.relationship_edges, warm.value().stats.relationship_edges);
+  const Outcome& w = warm.value()->outcome();
+  EXPECT_TRUE(w.warm);
+  EXPECT_NE(w.cache_line.find("snapshot hit"), std::string::npos);
+  EXPECT_EQ(c.graph_bytes, w.graph_bytes);
+  EXPECT_EQ(c.stats.class_nodes, w.stats.class_nodes);
+  EXPECT_EQ(c.stats.relationship_edges, w.stats.relationship_edges);
 }
 
 TEST_F(PipelineFixture, WarmRunWithNeedProgramStillLinks) {
-  Options options;
+  EngineOptions options;
   options.cache_dir = path("cache");
-  ASSERT_TRUE(run({jar_path_}, options).ok());  // populate
+  ASSERT_TRUE(open_once({jar_path_}, options).ok());  // populate
 
-  options.need_program = true;
-  auto warm = run({jar_path_}, options);
+  OpenOptions opts;
+  opts.need_program = true;
+  auto warm = open_once({jar_path_}, options, {}, opts);
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
-  EXPECT_TRUE(warm.value().warm);
-  ASSERT_TRUE(warm.value().program.has_value());
-  EXPECT_GT(warm.value().program->class_count(), 0u);
+  EXPECT_TRUE(warm.value()->outcome().warm);
+  ASSERT_TRUE(warm.value()->outcome().program.has_value());
+  EXPECT_GT(warm.value()->outcome().program->class_count(), 0u);
 }
 
 TEST_F(PipelineFixture, InMemoryOverloadMatchesTheArchivePath) {
   auto program = load_program({jar_path_}, /*with_jdk=*/true);
   ASSERT_TRUE(program.ok());
 
-  Options options;
-  options.need_graph_bytes = true;
-  auto from_program = run(program.value(), options);
-  auto from_archives = run({jar_path_}, options);
+  OpenOptions opts;
+  opts.need_graph_bytes = true;
+  Engine engine;
+  auto from_program = engine.open(program.value(), {}, opts);
+  auto from_archives = open_once({jar_path_}, {}, {}, opts);
   ASSERT_TRUE(from_program.ok());
   ASSERT_TRUE(from_archives.ok());
-  EXPECT_EQ(from_program.value().graph_bytes, from_archives.value().graph_bytes);
-  EXPECT_TRUE(std::ranges::equal(from_program.value().frozen->frame(),
-                                 from_archives.value().frozen->frame()));
+  EXPECT_EQ(from_program.value()->outcome().graph_bytes,
+            from_archives.value()->outcome().graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(from_program.value()->outcome().frozen->frame(),
+                                 from_archives.value()->outcome().frozen->frame()));
 }
 
 TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {
@@ -152,17 +168,16 @@ TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {
 }
 
 TEST_F(PipelineFixture, ParallelRunMatchesSerialByteForByte) {
-  Options serial;
-  serial.need_graph_bytes = true;
-  auto pool = make_pool(4);
-  Options parallel = serial;
-  parallel.executor = pool.get();
+  OpenOptions opts;
+  opts.need_graph_bytes = true;
+  EngineOptions parallel;
+  parallel.jobs = 4;
 
-  auto a = run({jar_path_}, serial);
-  auto b = run({jar_path_}, parallel);
+  auto a = open_once({jar_path_}, {}, {}, opts);
+  auto b = open_once({jar_path_}, parallel, {}, opts);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().graph_bytes, b.value().graph_bytes);
+  EXPECT_EQ(a.value()->outcome().graph_bytes, b.value()->outcome().graph_bytes);
 }
 
 TEST(Pipeline, DegradationReportRendersOneLinePerUnit) {
@@ -193,56 +208,65 @@ TEST_F(PipelineFixture, QuarantineSalvagesWhatStrictRejects) {
               static_cast<std::streamsize>(bytes.size()));
   }
 
-  Options strict;
-  EXPECT_FALSE(run({jar_path_, bad}, strict).ok());  // library default: fail fast
+  EXPECT_FALSE(open_once({jar_path_, bad}).ok());  // library default: fail fast
 
-  Options quarantine;
+  ExecContext quarantine;
   quarantine.policy = FailurePolicy::kQuarantine;
-  auto result = run({jar_path_, bad}, quarantine);
+  auto result = open_once({jar_path_, bad}, {}, quarantine);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_TRUE(result.value().degradation.degraded());
-  ASSERT_EQ(result.value().degradation.units.size(), 1u);
-  EXPECT_NE(result.value().degradation.units[0].unit.find("truncated.tjar"), std::string::npos);
-  EXPECT_GT(result.value().stats.class_nodes, 0u);  // the clean archive survived
+  const Outcome& outcome = result.value()->outcome();
+  EXPECT_TRUE(outcome.degradation.degraded());
+  ASSERT_EQ(outcome.degradation.units.size(), 1u);
+  EXPECT_NE(outcome.degradation.units[0].unit.find("truncated.tjar"), std::string::npos);
+  EXPECT_GT(outcome.stats.class_nodes, 0u);  // the clean archive survived
 }
 
 TEST_F(PipelineFixture, ExpiredDeadlineDegradesQuarantineAndFailsStrict) {
-  Options quarantine;
+  ExecContext quarantine;
   quarantine.policy = FailurePolicy::kQuarantine;
   quarantine.deadline = util::Deadline::after(std::chrono::milliseconds{0});
-  auto degraded = run({jar_path_}, quarantine);
+  OpenOptions opts;
+  opts.need_graph_bytes = true;
+  auto degraded = open_once({jar_path_}, {}, quarantine, opts);
   ASSERT_TRUE(degraded.ok()) << degraded.error().to_string();
-  EXPECT_TRUE(degraded.value().degradation.deadline_hit);
-  EXPECT_TRUE(degraded.value().degradation.degraded());
+  const Outcome& outcome = degraded.value()->outcome();
+  EXPECT_TRUE(outcome.degradation.deadline_hit);
+  EXPECT_TRUE(outcome.degradation.degraded());
+  // Cut before the build, the run serves the empty graph, and its store
+  // bytes are that graph's serialization (what `analyze --store` writes).
+  EXPECT_EQ(outcome.frozen->node_count(), 0u);
+  auto stored = graph::deserialize(outcome.graph_bytes);
+  ASSERT_TRUE(stored.ok()) << stored.error().to_string();
+  EXPECT_EQ(stored.value().node_count(), 0u);
 
-  Options strict;
+  ExecContext strict;
   strict.deadline = util::Deadline::after(std::chrono::milliseconds{0});
-  EXPECT_FALSE(run({jar_path_}, strict).ok());
+  EXPECT_FALSE(open_once({jar_path_}, {}, strict).ok());
 }
 
 TEST_F(PipelineFixture, CancelTokenReadsAsAnExpiredDeadline) {
   util::CancelToken token;
   token.cancel();
-  Options options;
-  options.policy = FailurePolicy::kQuarantine;
-  options.cancel = &token;
-  auto result = run({jar_path_}, options);
+  ExecContext ctx;
+  ctx.policy = FailurePolicy::kQuarantine;
+  ctx.cancel = &token;
+  auto result = open_once({jar_path_}, {}, ctx);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_TRUE(result.value().degradation.deadline_hit);
+  EXPECT_TRUE(result.value()->outcome().degradation.deadline_hit);
 }
 
 TEST_F(PipelineFixture, GenerousDeadlineLeavesOutputByteIdentical) {
-  Options plain;
-  plain.need_graph_bytes = true;
-  Options bounded = plain;
+  OpenOptions opts;
+  opts.need_graph_bytes = true;
+  ExecContext bounded;
   bounded.policy = FailurePolicy::kQuarantine;
   bounded.deadline = util::Deadline::after(std::chrono::hours{1});
-  auto a = run({jar_path_}, plain);
-  auto b = run({jar_path_}, bounded);
+  auto a = open_once({jar_path_}, {}, {}, opts);
+  auto b = open_once({jar_path_}, {}, bounded, opts);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_FALSE(b.value().degradation.degraded());
-  EXPECT_EQ(a.value().graph_bytes, b.value().graph_bytes);
+  EXPECT_FALSE(b.value()->outcome().degradation.degraded());
+  EXPECT_EQ(a.value()->outcome().graph_bytes, b.value()->outcome().graph_bytes);
 }
 
 TEST_F(PipelineFixture, DegradedRunsNeverPublishSnapshots) {
@@ -254,23 +278,25 @@ TEST_F(PipelineFixture, DegradedRunsNeverPublishSnapshots) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  Options options;
-  options.policy = FailurePolicy::kQuarantine;
+  EngineOptions options;
   options.cache_dir = path("cache_degraded");
+  ExecContext ctx;
+  ctx.policy = FailurePolicy::kQuarantine;
 
-  auto first = run({jar_path_, bad}, options);
+  auto first = open_once({jar_path_, bad}, options, ctx);
   ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_TRUE(first.value().degradation.degraded());
-  EXPECT_FALSE(first.value().warm);
+  EXPECT_TRUE(first.value()->outcome().degradation.degraded());
+  EXPECT_FALSE(first.value()->outcome().warm);
 
   // The degraded CPG was not published: the identical second run is another
   // cold build (which re-observes and re-reports the same degradation), so
   // a later repaired classpath can never warm-start from the holes.
-  auto second = run({jar_path_, bad}, options);
+  auto second = open_once({jar_path_, bad}, options, ctx);
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second.value().warm);
-  EXPECT_TRUE(second.value().degradation.degraded());
-  EXPECT_EQ(first.value().stats.class_nodes, second.value().stats.class_nodes);
+  EXPECT_FALSE(second.value()->outcome().warm);
+  EXPECT_TRUE(second.value()->outcome().degradation.degraded());
+  EXPECT_EQ(first.value()->outcome().stats.class_nodes,
+            second.value()->outcome().stats.class_nodes);
 }
 
 }  // namespace

@@ -129,9 +129,6 @@ TEST_P(ComponentProperty, SearchResultsSurviveGraphPersistence) {
 
   auto loaded = graph::deserialize(graph::serialize(cpg.db));
   ASSERT_TRUE(loaded.ok());
-  // Rebuild the indexes the finder relies on (persistence stores data, not
-  // index structures — like a fresh Neo4j store after import).
-  loaded.value().create_index(std::string(cpg::kMethodLabel), std::string(cpg::kPropIsSink));
   finder::GadgetChainFinder after(loaded.value());
   auto chains_after = after.find_all().chains;
 
