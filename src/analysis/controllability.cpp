@@ -210,9 +210,12 @@ class Transfer {
       in["init-param-" + std::to_string(i + 1)] = pp[i + 1];
     }
 
-    Action action = options_.interprocedural
-                        ? callee_action(s, resolved, receiver, arg_origins)
-                        : bodyless_action(s, receiver, arg_origins);
+    // The callee's summary is read in place; only a bodyless (or, without
+    // interprocedural analysis, any) callee gets a synthesized Action.
+    const bool summarised = options_.interprocedural && resolved &&
+                            program_.method(*resolved).has_body();
+    const Action& action = summarised ? provider_.callee_action_of(*resolved)
+                                      : bodyless_action(s, receiver, arg_origins);
     std::map<std::string, Weight> out = calc(action, in);
 
     // correct (Formula 3): fold callee outputs back into caller names.
@@ -266,17 +269,11 @@ class Transfer {
     }
   }
 
-  Action callee_action(const jir::InvokeStmt& s, std::optional<jir::MethodId> resolved,
-                       const Origin& receiver, const std::vector<Origin>& args) {
-    if (resolved && program_.method(*resolved).has_body()) {
-      return provider_.callee_action_of(*resolved);
-    }
-    return bodyless_action(s, receiver, args);
-  }
-
-  Action bodyless_action(const jir::InvokeStmt& s, const Origin& receiver,
-                         const std::vector<Origin>& args) {
-    Action action = Action::identity(s.callee.nargs, s.kind == jir::InvokeKind::Static);
+  /// Fills the scratch Action for a call without a callee summary.
+  const Action& bodyless_action(const jir::InvokeStmt& s, const Origin& receiver,
+                                const std::vector<Origin>& args) {
+    Action& action = scratch_;
+    action = Action::identity(s.callee.nargs, s.kind == jir::InvokeKind::Static);
     if (options_.unknown_return_controllable) {
       // Permissive model: result controllable if any input is. The Action
       // value must name the *callee-frame input slot* that was controllable
@@ -302,6 +299,7 @@ class Transfer {
   const AnalysisOptions& options_;
   std::vector<CallSite>* collector_ = nullptr;
   std::size_t stmt_index_ = 0;
+  Action scratch_;  // the bodyless callee's Action, refilled per call
 };
 
 LocalMap entry_state(const jir::Method& method) {

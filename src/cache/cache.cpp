@@ -7,8 +7,10 @@
 #include <charconv>
 #include <chrono>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
 
 #include "graph/frozen.hpp"
@@ -35,6 +37,11 @@ Result<std::vector<std::byte>> read_file_bytes(const fs::path& path) {
   return util::read_file(path);
 }
 
+/// A cache entry's bytes, written in order as one file: an entry made of a
+/// header and a large body already in memory is written without first
+/// concatenating the two.
+using FileParts = std::initializer_list<std::span<const std::byte>>;
+
 /// One write+rename attempt. The `cache.publish.rename` failpoint models a
 /// transient publish fault (NFS rename hiccup, AV scanner holding the
 /// target) — exactly what the retry loop below exists to absorb.
@@ -43,7 +50,7 @@ Result<std::vector<std::byte>> read_file_bytes(const fs::path& path) {
 /// the same entry (a daemon and a CLI sharing one cache directory, two
 /// threads of one process) never truncate or interleave one inode, so the
 /// rename only ever publishes a file one writer wrote whole.
-util::Status write_file_atomic_once(const fs::path& path, const std::vector<std::byte>& bytes) {
+util::Status write_file_atomic_once(const fs::path& path, FileParts parts) {
   static std::atomic<std::uint64_t> next_seq{0};
   fs::path tmp = path;
   tmp += "." + std::to_string(::getpid()) + "." +
@@ -51,8 +58,10 @@ util::Status write_file_atomic_once(const fs::path& path, const std::vector<std:
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Error{"cannot open for write: " + tmp.string()};
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    for (std::span<const std::byte> bytes : parts) {
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
     if (!out) return Error{"write failed: " + tmp.string()};
   }
   std::error_code ec;
@@ -74,11 +83,11 @@ util::Status write_file_atomic_once(const fs::path& path, const std::vector<std:
 /// backoff (~1ms, ~2ms); a still-failing publish returns the last error,
 /// which every caller downgrades (snapshot or frame: a warning; verdict:
 /// silently re-verified next run) — cache publication is never a run failure.
-util::Status write_file_atomic(const fs::path& path, const std::vector<std::byte>& bytes) {
+util::Status write_file_atomic(const fs::path& path, FileParts parts) {
   constexpr int kAttempts = 3;
   util::Status status = util::Status::ok_status();
   for (int attempt = 1; attempt <= kAttempts; ++attempt) {
-    status = write_file_atomic_once(path, bytes);
+    status = write_file_atomic_once(path, parts);
     if (status.ok()) return status;
     if (attempt == kAttempts) break;
     obs::counter_add("cache.publish_retries");
@@ -95,9 +104,9 @@ std::vector<std::byte> frame_entry(std::uint32_t magic, std::uint16_t version,
   ByteWriter out;
   out.u32(magic);
   out.u16(version);
-  for (std::byte b : body.data()) out.u8(static_cast<std::uint8_t>(b));
+  out.raw(body.data());
   out.u64(util::digest_bytes(out.data()));
-  return std::vector<std::byte>(out.data());
+  return out.take();
 }
 
 /// Validates the frame and returns the body span, or nullopt (miss).
@@ -315,13 +324,10 @@ util::Status AnalysisCache::store_snapshot(std::uint64_t key, const cpg::CpgStat
   write_stats(header, stats);
   header.uvarint(graph_bytes.size());
   header.u64(util::digest_bytes(header.data()));
-  std::vector<std::byte> file = header.take();
-  file.insert(file.end(), graph_bytes.begin(), graph_bytes.end());
-  util::ScopedCharge buffer_charge(memory_, file.size());
   if (util::failpoint::poll("cache.snapshot.publish")) {
     return util::Error{"failpoint: injected snapshot publish failure"};
   }
-  return write_file_atomic(snapshot_path(key), file);
+  return write_file_atomic(snapshot_path(key), {header.data(), graph_bytes});
 }
 
 std::optional<graph::FrozenGraph> AnalysisCache::load_frozen(std::uint64_t key,
@@ -360,9 +366,7 @@ util::Status AnalysisCache::store_frozen(std::uint64_t key, const graph::FrozenG
                        util::digest_hex(key)};
   }
   obs::counter_add("cache.frozen_published");
-  std::vector<std::byte> file(frozen.frame().begin(), frozen.frame().end());
-  util::ScopedCharge buffer_charge(memory_, file.size());
-  return write_file_atomic(frozen_path(key), file);
+  return write_file_atomic(frozen_path(key), {frozen.frame()});
 }
 
 std::optional<CachedVerdict> AnalysisCache::load_verdict(std::uint64_t key) {
@@ -381,7 +385,8 @@ util::Status AnalysisCache::store_verdict(std::uint64_t key, const CachedVerdict
   body.uvarint(verdict.steps);
   body.bytes(verdict.detail);
   obs::counter_add("cache.verdicts_published");
-  return write_file_atomic(verdict_path(key), frame_entry(kVerdictMagic, kVerdictVersion, body));
+  std::vector<std::byte> entry = frame_entry(kVerdictMagic, kVerdictVersion, body);
+  return write_file_atomic(verdict_path(key), {entry});
 }
 
 // --- Offline audit ---------------------------------------------------------

@@ -157,7 +157,8 @@ class AnalysisCache {
   const std::filesystem::path& dir() const { return dir_; }
 
   /// Optional byte ledger for the transient snapshot file buffers (the
-  /// multi-megabyte read/assemble spans in load_snapshot/store_snapshot).
+  /// multi-megabyte read in load_snapshot and the frames it maps; the
+  /// store_* calls write from the caller's bytes and hold no buffer).
   /// Telemetry only; never consulted for decisions. Borrowed, may be null.
   void set_memory(util::MemoryBudget* memory) { memory_ = memory; }
 

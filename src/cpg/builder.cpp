@@ -21,7 +21,10 @@ using graph::Value;
 class Builder {
  public:
   Builder(const jir::Program& program, const CpgOptions& options)
-      : program_(program), hierarchy_(program), options_(options) {}
+      : program_(program),
+        hierarchy_(program),
+        options_(options),
+        serializable_(program.class_count(), -1) {}
 
   Cpg run() {
     obs::Span span("cpg.build");
@@ -64,11 +67,11 @@ class Builder {
   // --- ORG: class/method nodes, EXTEND/INTERFACE/HAS --------------------
 
   void build_org() {
-    for (const jir::ClassDecl& cls : program_.classes()) {
+    for (std::uint32_t ci = 0; ci < program_.class_count(); ++ci) {
+      const jir::ClassDecl& cls = program_.classes()[ci];
       NodeId cn = class_node(cls.name);
       for (std::size_t mi = 0; mi < cls.methods.size(); ++mi) {
-        jir::MethodId id{*program_.class_index(cls.name), static_cast<std::uint32_t>(mi)};
-        NodeId mn = method_node_for(id);
+        NodeId mn = method_node_for(jir::MethodId{ci, static_cast<std::uint32_t>(mi)});
         db_.add_edge(cn, mn, std::string(kHasEdge));
       }
     }
@@ -88,7 +91,8 @@ class Builder {
     auto it = class_nodes_.find(name);
     if (it != class_nodes_.end()) return it->second;
 
-    const jir::ClassDecl* decl = program_.find_class(name);
+    std::optional<std::uint32_t> ci = program_.class_index(name);
+    const jir::ClassDecl* decl = ci ? &program_.classes()[*ci] : nullptr;
     PropertyMap props;
     props[std::string(kPropName)] = name;
     props[std::string(kPropPhantom)] = decl == nullptr;
@@ -96,7 +100,7 @@ class Builder {
     if (decl != nullptr) {
       props[std::string(kPropInterface)] = decl->is_interface;
       props[std::string(kPropAbstractClass)] = decl->mods.is_abstract;
-      props[std::string(kPropSerializable)] = hierarchy_.is_serializable(name);
+      props[std::string(kPropSerializable)] = serializable(*ci);
       props[std::string(kPropSuper)] = decl->super;
     }
     NodeId id = db_.add_node(std::string(kClassLabel), std::move(props));
@@ -112,9 +116,17 @@ class Builder {
     const jir::Method& m = program_.method(id);
     NodeId node = make_method_node(cls.name, m.name, m.nargs(), /*phantom=*/false,
                                    m.mods.is_static, m.mods.is_abstract,
-                                   m.has_body() && hierarchy_.is_serializable(cls.name));
+                                   m.has_body() && serializable(id.class_index));
     method_nodes_.emplace(id, node);
     return node;
+  }
+
+  /// Hierarchy::is_serializable of program class `ci`, memoized: it walks
+  /// the supertype closure, and every method node of the class asks.
+  bool serializable(std::uint32_t ci) {
+    std::int8_t& memo = serializable_[ci];
+    if (memo < 0) memo = hierarchy_.is_serializable(program_.classes()[ci].name) ? 1 : 0;
+    return memo == 1;
   }
 
   /// Phantom method node for calls into classes (or overloads) the program
@@ -372,6 +384,7 @@ class Builder {
   std::unordered_map<std::string, NodeId> class_nodes_;
   std::unordered_map<jir::MethodId, NodeId, jir::MethodIdHash> method_nodes_;
   std::unordered_map<std::string, NodeId> phantom_methods_;
+  std::vector<std::int8_t> serializable_;  // per class index: -1 unknown, else 0/1
 };
 
 }  // namespace

@@ -324,8 +324,9 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
                       " nodes, " + std::to_string(m) + " edges)");
   }
 
-  std::unordered_map<NodeId, std::uint32_t> remap;
-  remap.reserve(nodes.size());
+  // Dense old-id -> new-id remap over every id ever issued (tombstoned ids
+  // keep an unread slot).
+  std::vector<std::uint32_t> remap(db.node_capacity(), 0);
   for (std::size_t i = 0; i < nodes.size(); ++i) remap[nodes[i]->id] = static_cast<std::uint32_t>(i);
 
   // Intern labels/types in first-use order of the ascending scans (a pure
@@ -347,37 +348,16 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     node_label[i] = intern(label_ids, label_names, nodes[i]->label);
   }
 
-  struct AdjEntry {
-    std::uint16_t type;
-    std::uint32_t edge;
-    std::uint32_t nbr;
-  };
-  std::vector<std::vector<AdjEntry>> out_adj(n), in_adj(n);
   std::vector<std::uint32_t> efrom(m), eto(m);
   std::vector<std::uint16_t> etype(m);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     if (type_names.size() > 0xFFFF) {
       return frozen_err("edge-type table exceeds the 16-bit id space");
     }
-    std::uint32_t from = remap.at(edges[e]->from);
-    std::uint32_t to = remap.at(edges[e]->to);
-    std::uint16_t t = intern(type_ids, type_names, edges[e]->type);
-    efrom[e] = from;
-    eto[e] = to;
-    etype[e] = t;
-    auto de = static_cast<std::uint32_t>(e);
-    out_adj[from].push_back({t, de, to});
-    in_adj[to].push_back({t, de, from});
+    efrom[e] = remap[edges[e]->from];
+    eto[e] = remap[edges[e]->to];
+    etype[e] = intern(type_ids, type_names, edges[e]->type);
   }
-  // Sort each node's adjacency by (type, edge): typed lookups become one
-  // binary search, and within a type the ascending edge order *is* GraphDb's
-  // insertion-order iteration (the byte-identical-output invariant).
-  auto by_type_then_edge = [](const AdjEntry& a, const AdjEntry& b) {
-    return a.type != b.type ? a.type < b.type : a.edge < b.edge;
-  };
-  for (auto& adj : out_adj) std::sort(adj.begin(), adj.end(), by_type_then_edge);
-  for (auto& adj : in_adj) std::sort(adj.begin(), adj.end(), by_type_then_edge);
-
   // Property columns, keyed ascending (std::map order == file order).
   std::map<std::string_view, ColumnCells> node_cols, edge_cols;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -437,21 +417,47 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     w.raw(p, bytes);
     end_section();
   };
-  auto csr_sections = [&](const std::vector<std::vector<AdjEntry>>& adj) {
+  // One CSR side as a counting sort keyed by `owner` (the edge's source for
+  // the out side, its target for the in side): count, prefix-sum, then fill
+  // in edge-id order. Each node's entries must end sorted by (type, edge):
+  // typed lookups become one binary search, and within a type the ascending
+  // edge order *is* GraphDb's insertion-order iteration (the byte-identical-
+  // output invariant). The fill already leaves them in edge order, so only a
+  // node whose entries mix types needs a stable sort by type.
+  auto csr_sections = [&](const std::vector<std::uint32_t>& owner,
+                          const std::vector<std::uint32_t>& other) {
     std::vector<std::uint64_t> offsets(n + 1, 0);
+    for (std::uint32_t v : owner) ++offsets[v + 1];
+    for (std::uint64_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
     std::vector<std::uint32_t> nbr(m), edge(m);
     std::vector<std::uint16_t> type(m);
-    std::uint64_t at = 0;
+    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (std::uint32_t e = 0; e < m; ++e) {
+      std::uint64_t at = cursor[owner[e]]++;
+      nbr[at] = other[e];
+      edge[at] = e;
+      type[at] = etype[e];
+    }
+    struct AdjEntry {
+      std::uint16_t type;
+      std::uint32_t edge;
+      std::uint32_t nbr;
+    };
+    std::vector<AdjEntry> scratch;
     for (std::uint64_t i = 0; i < n; ++i) {
-      offsets[i] = at;
-      for (const AdjEntry& a : adj[i]) {
-        nbr[at] = a.nbr;
-        edge[at] = a.edge;
-        type[at] = a.type;
-        ++at;
+      const std::uint64_t lo = offsets[i], hi = offsets[i + 1];
+      if (hi - lo < 2 || std::is_sorted(type.begin() + lo, type.begin() + hi)) continue;
+      scratch.clear();
+      for (std::uint64_t at = lo; at < hi; ++at) scratch.push_back({type[at], edge[at], nbr[at]});
+      std::stable_sort(scratch.begin(), scratch.end(),
+                       [](const AdjEntry& a, const AdjEntry& b) { return a.type < b.type; });
+      for (std::uint64_t at = lo; at < hi; ++at) {
+        const AdjEntry& entry = scratch[at - lo];
+        type[at] = entry.type;
+        edge[at] = entry.edge;
+        nbr[at] = entry.nbr;
       }
     }
-    offsets[n] = at;
     raw_section(offsets.data(), offsets.size() * sizeof(std::uint64_t));
     raw_section(nbr.data(), nbr.size() * sizeof(std::uint32_t));
     raw_section(edge.data(), edge.size() * sizeof(std::uint32_t));
@@ -468,8 +474,8 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   string_table(label_names);                                            // 1
   string_table(type_names);                                             // 2
   raw_section(node_label.data(), node_label.size() * sizeof(std::uint16_t));  // 3
-  csr_sections(out_adj);                                                // 4..7
-  csr_sections(in_adj);                                                 // 8..11
+  csr_sections(efrom, eto);                                             // 4..7
+  csr_sections(eto, efrom);                                             // 8..11
   raw_section(efrom.data(), efrom.size() * sizeof(std::uint32_t));      // 12
   raw_section(eto.data(), eto.size() * sizeof(std::uint32_t));          // 13
   raw_section(etype.data(), etype.size() * sizeof(std::uint16_t));      // 14

@@ -187,49 +187,46 @@ Result<CardinalityStats> decode_stats(ByteReader& in) {
 }
 
 std::vector<std::byte> serialize(const GraphDb& db, bool with_stats) {
-  // Payload first: the header needs its size, the trailer its checksum.
+  // One buffer, written front to back: the header's payload length and the
+  // stats block's length are placeholders patched once their payloads are
+  // written, and the checksum covers everything before it.
   ByteWriter out;
+  out.u32(kGraphStoreMagic);
+  out.u16(kGraphStoreVersion);
+  const std::size_t length_at = out.size();
+  out.u64(0);
+  const std::size_t payload_at = out.size();
 
-  // Live elements only; ids are re-assigned densely on load. Build the
-  // old-id -> new-id mapping while emitting nodes.
-  std::vector<const Node*> nodes;
-  db.for_each_node([&](const Node& n) { nodes.push_back(&n); });
-  std::vector<const Edge*> edges;
-  db.for_each_edge([&](const Edge& e) { edges.push_back(&e); });
+  // Live elements only; ids are re-assigned densely on load. The old-id ->
+  // new-id mapping is a dense vector over every id ever issued, so
+  // tombstoned ids simply never get a slot read.
+  std::vector<std::uint64_t> remap(db.node_capacity(), 0);
+  std::uint64_t next = 0;
+  out.uvarint(db.node_count());
+  db.for_each_node([&](const Node& n) {
+    remap[n.id] = next++;
+    out.bytes(n.label);
+    write_props(out, n.props);
+  });
+  out.uvarint(db.edge_count());
+  db.for_each_edge([&](const Edge& e) {
+    out.uvarint(remap[e.from]);
+    out.uvarint(remap[e.to]);
+    out.bytes(e.type);
+    write_props(out, e.props);
+  });
+  out.patch_u64(length_at, out.size() - payload_at);
 
-  std::unordered_map<NodeId, std::uint64_t> remap;
-  remap.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) remap[nodes[i]->id] = i;
-
-  out.uvarint(nodes.size());
-  for (const Node* n : nodes) {
-    out.bytes(n->label);
-    write_props(out, n->props);
-  }
-  out.uvarint(edges.size());
-  for (const Edge* e : edges) {
-    out.uvarint(remap.at(e->from));
-    out.uvarint(remap.at(e->to));
-    out.bytes(e->type);
-    write_props(out, e->props);
-  }
-  std::vector<std::byte> payload = out.take();
-
-  ByteWriter store;
-  store.u32(kGraphStoreMagic);
-  store.u16(kGraphStoreVersion);
-  store.u64(payload.size());
-  for (std::byte b : payload) store.u8(static_cast<std::uint8_t>(b));
   if (with_stats) {
-    ByteWriter stats;
-    encode_stats(stats, db.cardinality());
-    std::vector<std::byte> stats_payload = stats.take();
-    store.u32(kGraphStoreStatsMagic);
-    store.u64(stats_payload.size());
-    for (std::byte b : stats_payload) store.u8(static_cast<std::uint8_t>(b));
+    out.u32(kGraphStoreStatsMagic);
+    const std::size_t stats_length_at = out.size();
+    out.u64(0);
+    const std::size_t stats_at = out.size();
+    encode_stats(out, db.cardinality());
+    out.patch_u64(stats_length_at, out.size() - stats_at);
   }
-  store.u64(util::digest_bytes(store.data()));
-  return store.take();
+  out.u64(util::digest_bytes(out.data()));
+  return out.take();
 }
 
 util::Result<GraphDb> deserialize(std::span<const std::byte> data) {

@@ -743,18 +743,18 @@ std::vector<SalvagedFile> read_archive_files_salvage(
   return results;
 }
 
-jir::Program link(const std::vector<Archive>& classpath, std::size_t* duplicates_skipped) {
+jir::Program link(std::vector<Archive> classpath, std::size_t* duplicates_skipped) {
   obs::Span span("jar.link");
   span.attr("archives", static_cast<std::uint64_t>(classpath.size()));
   jir::Program program;
   std::size_t skipped = 0;
-  for (const Archive& archive : classpath) {
-    for (const jir::ClassDecl& cls : archive.classes) {
+  for (Archive& archive : classpath) {
+    for (jir::ClassDecl& cls : archive.classes) {
       if (program.find_class(cls.name) != nullptr) {
         ++skipped;  // classpath order: first definition wins
         continue;
       }
-      program.add_class(cls);
+      program.add_class(std::move(cls));
     }
   }
   if (duplicates_skipped != nullptr) *duplicates_skipped = skipped;

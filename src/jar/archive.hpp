@@ -103,7 +103,9 @@ std::vector<SalvagedFile> read_archive_files_salvage(
 /// Links archives into one closed-world Program, classpath style: when two
 /// archives define the same class, the first archive on the path wins.
 /// Returns the number of duplicate classes skipped via `duplicates_skipped`
-/// when non-null.
-jir::Program link(const std::vector<Archive>& classpath, std::size_t* duplicates_skipped = nullptr);
+/// when non-null. The classpath is consumed: each first definition is
+/// moved into the Program (pass `std::move(classpath)` to link without
+/// copying a class; an lvalue argument is copied first).
+jir::Program link(std::vector<Archive> classpath, std::size_t* duplicates_skipped = nullptr);
 
 }  // namespace tabby::jar

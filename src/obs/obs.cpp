@@ -68,11 +68,13 @@ std::string millis_human(std::uint64_t ns) {
 /// One thread's recording destination. Registered (under the registry mutex)
 /// on the thread's first recording or naming call, then appended to without
 /// any lock. Buffers are owned by the registry, never by the thread, so a
-/// worker that exits before flush() leaves its records readable.
+/// worker that exits before flush() leaves its records readable; the next
+/// enable() drops the buffers of exited threads.
 struct Tracer::ThreadBuffer {
   std::uint32_t tid = 0;
   std::string name;
-  bool named = false;  // set_thread_name() was called (vs the default name)
+  bool named = false;   // set_thread_name() was called (vs the default name)
+  bool exited = false;  // the owning thread has ended (set under the mutex)
   std::vector<SpanRecord> spans;
   std::vector<std::pair<const char*, std::uint64_t>> counters;  // name -> accumulated delta
 };
@@ -89,7 +91,19 @@ Registry& registry() {
   return instance;
 }
 
-thread_local Tracer::ThreadBuffer* t_buffer = nullptr;
+/// The calling thread's registered buffer. Its destructor runs at thread
+/// exit and marks the buffer exited, so the registry can let it go.
+struct ThreadSlot {
+  Tracer::ThreadBuffer* buffer = nullptr;
+  ~ThreadSlot() {
+    if (buffer == nullptr) return;
+    Registry& reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    buffer->exited = true;
+  }
+};
+
+thread_local ThreadSlot t_slot;
 
 }  // namespace
 
@@ -99,16 +113,16 @@ Tracer& Tracer::instance() {
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {
-  if (t_buffer == nullptr) {
+  if (t_slot.buffer == nullptr) {
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
     auto buffer = std::make_unique<ThreadBuffer>();
     buffer->tid = static_cast<std::uint32_t>(reg.buffers.size());
     buffer->name = "thread-" + std::to_string(buffer->tid);
-    t_buffer = buffer.get();
+    t_slot.buffer = buffer.get();
     reg.buffers.push_back(std::move(buffer));
   }
-  return *t_buffer;
+  return *t_slot.buffer;
 }
 
 std::uint64_t Tracer::now_ns() const { return steady_now_ns() - epoch_ns_; }
@@ -121,11 +135,17 @@ void Tracer::enable() {
   ThreadBuffer& mine = local_buffer();
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  if (!mine.named) mine.name = "main";
-  for (auto& buffer : reg.buffers) {
-    buffer->spans.clear();
-    buffer->counters.clear();
+  // A new epoch starts with the live threads only: exited threads' buffers
+  // (drained or not) are dropped, and the survivors' track ids renumbered.
+  std::erase_if(reg.buffers, [](const auto& buffer) { return buffer->exited; });
+  for (std::size_t i = 0; i < reg.buffers.size(); ++i) {
+    ThreadBuffer& buffer = *reg.buffers[i];
+    buffer.tid = static_cast<std::uint32_t>(i);
+    if (!buffer.named) buffer.name = "thread-" + std::to_string(i);
+    buffer.spans.clear();
+    buffer.counters.clear();
   }
+  if (!mine.named) mine.name = "main";
   epoch_ns_ = steady_now_ns();
   enabled_flag_.store(true, std::memory_order_relaxed);
 }

@@ -160,7 +160,11 @@ util::Result<Outcome> open_classpath(const Engine& engine,
       return util::Status::ok_status();
     }
     built = true;
-    return build_into(*program, ctx.policy, cpg_options, with_bytes, db, outcome);
+    status = build_into(*program, ctx.policy, cpg_options, with_bytes, db, outcome);
+    // The builder was the program's last reader unless the caller keeps it:
+    // free it before the freeze and the cache writes allocate.
+    if (!opts.need_program) program.reset();
+    return status;
   };
   auto finish = [&]() {
     if (opts.need_program) outcome.program = std::move(program);

@@ -102,7 +102,7 @@ util::Result<jir::Program> load_program(const std::vector<std::string>& paths, b
       }
       classpath.push_back(std::move(archives[i].value()));
     }
-    return jar::link(classpath);
+    return jar::link(std::move(classpath));
   }
 
   DegradationReport local;
@@ -153,7 +153,7 @@ util::Result<jir::Program> load_program(const std::vector<std::string>& paths, b
     // entirely garbage — when nothing survives, the run fails like strict.
     return *first_loss;
   }
-  return jar::link(classpath);
+  return jar::link(std::move(classpath));
 }
 
 }  // namespace tabby::pipeline

@@ -43,7 +43,14 @@ class ByteWriter {
   }
   void bytes(std::string_view s) {
     uvarint(s.size());
-    for (char c : s) u8(static_cast<std::uint8_t>(c));
+    raw(std::as_bytes(std::span<const char>(s)));
+  }
+  /// Appends bytes verbatim (no length prefix), in one bulk copy.
+  void raw(std::span<const std::byte> data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
+  /// Overwrites 8 bytes at `at` (a placeholder written earlier) with `v`,
+  /// little-endian: for a length that is only known after its payload.
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) buf_.at(at + i) = static_cast<std::byte>(v >> (8 * i));
   }
 
   const std::vector<std::byte>& data() const { return buf_; }

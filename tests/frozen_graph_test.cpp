@@ -207,6 +207,34 @@ TEST(FrozenGraph, FreezeIsDeterministicAndStoreStable) {
   EXPECT_EQ(std::memcmp(once.frame().data(), thawed.frame().data(), once.frame().size()), 0);
 }
 
+// The store and frame bytes of two fixed graphs, pinned by digest: the
+// kitchen sink (every column encoding) and a random graph with removed nodes
+// and edges (the dense renumbering). A change to either writer that moves a
+// byte must come with a format version bump, and then new pins.
+TEST(FrozenGraph, StoreAndFrameBytesArePinned) {
+  static_assert(graph::kGraphStoreVersion == 3 && graph::kFrozenVersion == 2,
+                "a format version bump re-pins the digests below");
+  struct Pin {
+    const char* name;
+    graph::GraphDb db;
+    std::uint64_t store;
+    std::uint64_t frame;
+  };
+  Pin pins[] = {
+      {"kitchen sink", kitchen_sink_graph(), 0x74dfd19f2c99dc60ull, 0xfac89e504a629076ull},
+      {"random_graph(7)", random_graph(7), 0xf4a77d2fc96c9cb2ull, 0x35bef6c8a473e850ull},
+  };
+  ASSERT_LT(pins[1].db.node_count(), pins[1].db.node_capacity());
+  ASSERT_LT(pins[1].db.edge_count(), pins[1].db.edge_capacity());
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    EXPECT_EQ(util::digest_hex(util::digest_bytes(graph::serialize(pin.db))),
+              util::digest_hex(pin.store));
+    EXPECT_EQ(util::digest_hex(util::digest_bytes(freeze_or_die(pin.db, 99).frame())),
+              util::digest_hex(pin.frame));
+  }
+}
+
 TEST(FrozenGraph, SaveMapFileAndFromBytesRoundTrip) {
   graph::GraphDb db = kitchen_sink_graph();
   graph::FrozenGraph fg = freeze_or_die(db, 0xDEADBEEF);

@@ -142,6 +142,41 @@ TEST(Link, FirstArchiveWinsOnDuplicates) {
   EXPECT_EQ(dup->fields[0].name, "fromFirst");
 }
 
+TEST(Link, MovedClasspathLinksLikeACopy) {
+  // Two archives defining one class twice, plus classes of their own.
+  Archive first = sample_archive();
+  Archive second = sample_archive();
+  second.meta.name = "second";
+  second.classes.front().fields.push_back({"shadowed", jir::int_type(), {}});
+  jir::ProgramBuilder pb;
+  pb.add_class("demo.OnlyInSecond").field("x", "int");
+  jir::Program extra = pb.build();
+  second.classes.push_back(extra.classes().front());
+  const std::vector<Archive> classpath{first, second};
+
+  std::size_t copied_skipped = 0;
+  jir::Program copied = link(classpath, &copied_skipped);
+  std::vector<Archive> consumed = classpath;
+  std::size_t moved_skipped = 0;
+  jir::Program moved = link(std::move(consumed), &moved_skipped);
+
+  EXPECT_GT(copied_skipped, 0u);
+  EXPECT_EQ(moved_skipped, copied_skipped);
+  // Same classes in the same order, compared through the archive codec
+  // (which writes every field, method and statement).
+  Archive copied_as_archive{{"linked", ""}, copied.classes()};
+  Archive moved_as_archive{{"linked", ""}, moved.classes()};
+  EXPECT_EQ(write_archive(moved_as_archive), write_archive(copied_as_archive));
+  ASSERT_EQ(moved.class_count(), copied.class_count());
+  for (std::size_t i = 0; i < moved.class_count(); ++i) {
+    EXPECT_EQ(moved.classes()[i].name, copied.classes()[i].name);
+  }
+  const jir::ClassDecl* dup = moved.find_class(second.classes.front().name);
+  ASSERT_NE(dup, nullptr);
+  EXPECT_EQ(dup->find_field("shadowed"), nullptr);  // the first definition won
+  EXPECT_NE(moved.find_class("demo.OnlyInSecond"), nullptr);
+}
+
 TEST(Link, EmptyClasspathYieldsEmptyProgram) {
   jir::Program p = link({});
   EXPECT_EQ(p.class_count(), 0u);

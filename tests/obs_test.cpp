@@ -15,25 +15,67 @@
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps it, so a
-// test can assert a code region performed zero heap allocations.
+// test can assert a code region performed zero heap allocations. Every
+// replaceable form (plain, nothrow, aligned) is replaced, so all memory the
+// binary gets from `new` comes from malloc/aligned_alloc and goes back
+// through free: no form falls through to the runtime's own allocator (a
+// sanitizer would report the mix as an alloc-dealloc mismatch).
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
 
-void* operator new(std::size_t size) {
+void* counted_alloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  return std::malloc(size ? size : 1);
+}
+
+void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  auto alignment = static_cast<std::size_t>(align);
+  std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  return std::aligned_alloc(alignment, rounded ? rounded : alignment);
+}
+
+template <typename... Align>
+void* counted_or_throw(std::size_t size, Align... align) {
+  if (void* p = counted_alloc(size, align...)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_or_throw(size); }
+void* operator new[](std::size_t size) { return counted_or_throw(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_or_throw(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_or_throw(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 // ---------------------------------------------------------------------------
 
 namespace tabby::obs {
@@ -144,6 +186,21 @@ TEST(ObsCounters, WorkerThreadsGetNamedTracks) {
   EXPECT_LE(workers, 3);
   for (const SpanRecord& span : report.spans) {
     ASSERT_LT(span.tid, report.thread_names.size());
+  }
+}
+
+TEST(ObsCounters, EnableDropsTracksOfExitedThreads) {
+  {
+    // A pool whose workers register (and name) their tracks, then exit.
+    util::ThreadPool pool(2);
+    pool.parallel_for(8, [](std::size_t) { counter_add("obs_test.exited"); });
+  }
+  ScopedTracing tracing;
+  TraceReport report = Tracer::instance().flush();
+  ASSERT_FALSE(report.thread_names.empty());
+  EXPECT_EQ(report.thread_names[0], "main");
+  for (const std::string& name : report.thread_names) {
+    EXPECT_NE(name.rfind("worker-", 0), 0u) << name << " outlived its thread";
   }
 }
 
